@@ -13,7 +13,6 @@
 #include "data/market_simulator.h"
 #include "graph/eseller_graph.h"
 #include "tensor/tensor_ops.h"
-#include "util/arena.h"
 #include "util/rng.h"
 
 namespace gaia::bench::harness {
@@ -86,28 +85,6 @@ void RegisterTensorCases(Harness& harness) {
     harness.AddCase(
         "tensor.matmul_naive_256",
         [a, b] { KeepAlive(MatMulNaive(*a, *b)); }, options);
-  }
-
-  // Arena hot path: churn Tensor temporaries inside a scope the way a
-  // forward pass does. Steady state every iteration is a cache hit, so this
-  // case prices the allocator itself (pop + memset), not the system heap.
-  {
-    const int inner = 64;
-    Rng rng(12);
-    auto x = std::make_shared<Tensor>(Tensor::Randn({64, 64}, &rng));
-    CaseOptions options = tensor_tag;
-    options.items_per_rep = inner;  // temporaries per repetition
-    harness.AddCase(
-        "tensor.arena_churn",
-        [x, inner] {
-          util::ArenaScope scope;
-          for (int i = 0; i < inner; ++i) {
-            Tensor tmp(x->shape());
-            tmp.Accumulate(*x);
-            KeepAlive(std::move(tmp));
-          }
-        },
-        options);
   }
 
   for (int64_t c : {int64_t{16}, int64_t{32}}) {

@@ -1,5 +1,4 @@
 #include "core/gaia_model.h"
-#include "util/arena.h"
 
 #include "nn/init.h"
 #include "obs/obs.h"
@@ -109,7 +108,6 @@ Var GaiaModel::EncodeNode(const NodeInput& input) const {
 std::vector<Var> GaiaModel::ForwardGraph(const graph::EsellerGraph& graph,
                                          const std::vector<NodeInput>& inputs,
                                          ItaProbe* probe) const {
-  util::ArenaScope arena_scope;
   GAIA_OBS_SPAN("model.forward_graph");
   GAIA_CHECK_EQ(static_cast<int64_t>(inputs.size()), graph.num_nodes());
   std::vector<Var> embeddings;  // E_v from TEL
@@ -147,7 +145,6 @@ std::vector<Var> GaiaModel::ForwardGraph(const graph::EsellerGraph& graph,
 std::vector<Var> GaiaModel::PredictNodes(const data::ForecastDataset& dataset,
                                          const std::vector<int32_t>& nodes,
                                          bool /*training*/, Rng* /*rng*/) {
-  util::ArenaScope arena_scope;
   const auto n = static_cast<int32_t>(dataset.num_nodes());
   std::vector<NodeInput> inputs(static_cast<size_t>(n));
   for (int32_t v = 0; v < n; ++v) {
@@ -178,7 +175,6 @@ std::string GaiaModel::name() const {
 
 Result<Tensor> GaiaModel::PredictEgo(const data::ForecastDataset& dataset,
                                      const graph::EgoSubgraph& ego) const {
-  util::ArenaScope arena_scope;
   Result<graph::EsellerGraph> local =
       graph::EsellerGraph::Create(ego.num_nodes(), ego.edges);
   GAIA_CHECK(local.ok()) << local.status().ToString();
@@ -199,7 +195,6 @@ Result<Tensor> GaiaModel::PredictEgo(const data::ForecastDataset& dataset,
 std::vector<Var> GaiaModel::PredictNodesViaEgo(
     const data::ForecastDataset& dataset, const std::vector<int32_t>& nodes,
     int64_t num_hops, int64_t max_fanout, Rng* rng) const {
-  util::ArenaScope arena_scope;
   // Ego extraction stays serial: sampling consumes the rng, whose draw order
   // must not depend on thread scheduling. The per-sample forwards are then
   // independent graphs and fan out across the pool.

@@ -1,5 +1,4 @@
 #include "core/trainer.h"
-#include "util/arena.h"
 
 #include <algorithm>
 #include <cmath>
@@ -25,7 +24,6 @@ namespace ag = autograd;
 double Trainer::EvaluateMse(ForecastModel* model,
                             const data::ForecastDataset& dataset,
                             const std::vector<int32_t>& nodes) {
-  util::ArenaScope arena_scope;
   GAIA_OBS_SPAN("trainer.eval");
   GAIA_CHECK(!nodes.empty());
   Rng rng(0);
@@ -90,7 +88,6 @@ TrainResult Trainer::Fit(ForecastModel* model,
 TrainResult Trainer::Fit(ForecastModel* model,
                          const data::ForecastDataset& dataset,
                          const TrainHooks& hooks) const {
-  util::ArenaScope arena_scope;
   GAIA_CHECK(model != nullptr);
   if (config_.num_threads > 0) {
     util::ThreadPool::SetGlobalThreads(config_.num_threads);

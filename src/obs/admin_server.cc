@@ -368,11 +368,6 @@ AdminServer::Route AdminServer::StatusRoute() {
      << ",\"eventlog\":{\"enabled\":" << (log.enabled() ? "true" : "false")
      << ",\"appended\":" << log.total_appended()
      << ",\"dropped\":" << log.dropped() << "}"
-     << ",\"arena\":{\"bytes_in_use\":"
-     << registry.GaugeValue("gaia_arena_bytes_in_use")
-     << ",\"high_water\":" << registry.GaugeValue("gaia_arena_high_water")
-     << ",\"reuse_total\":" << registry.CounterValue("gaia_arena_reuse_total")
-     << "}"
      << ",\"drift\":{\"score\":" << registry.GaugeValue("gaia_drift_score")
      << ",\"window_cycles\":"
      << registry.GaugeValue("gaia_drift_window_cycles")

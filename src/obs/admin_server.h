@@ -12,7 +12,7 @@
 //   GET /healthz       200 "ok" when every registered check passes,
 //                      503 listing the failing checks otherwise
 //   GET /readyz        alias of /healthz (same check set)
-//   GET /statusz       JSON: pid, uptime, obs level, arena stats, event-log
+//   GET /statusz       JSON: pid, uptime, obs level, event-log
 //                      totals, check results, and caller-provided info keys
 //                      (serving generation, checkpoint CRC, build info)
 //   GET /tracez        JSON per-span-name aggregates from TraceBuffer

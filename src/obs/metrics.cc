@@ -110,17 +110,6 @@ void Gauge::Add(double delta) {
   }
 }
 
-void Gauge::Max(double v) {
-  uint64_t observed = bits_.load(std::memory_order_relaxed);
-  for (;;) {
-    if (Decode(observed) >= v) return;
-    if (bits_.compare_exchange_weak(observed, Encode(v),
-                                    std::memory_order_relaxed)) {
-      return;
-    }
-  }
-}
-
 uint64_t Gauge::Encode(double v) {
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(v));

@@ -50,10 +50,6 @@ class Gauge {
  public:
   void Set(double v) { bits_.store(Encode(v), std::memory_order_relaxed); }
   void Add(double delta);
-  /// Raises the gauge to `v` if below it (CAS loop, lock-free). High-water
-  /// marks (gaia_arena_high_water) use this so concurrent observers never
-  /// regress the mark.
-  void Max(double v);
   double value() const { return Decode(bits_.load(std::memory_order_relaxed)); }
   void Reset() { Set(0.0); }
 
@@ -135,7 +131,7 @@ class MetricsRegistry {
 
   /// Read-only snapshot of a gauge's current value without creating it;
   /// returns 0.0 when `name` is unregistered. /statusz uses this to report
-  /// arena high-water marks without registering them itself.
+  /// the drift gauges without registering them itself.
   double GaugeValue(const std::string& name) const;
 
   /// Name/value snapshot of every registered counter, sorted by name. The

@@ -1,7 +1,5 @@
 #include "serving/model_server.h"
 
-#include "util/arena.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -327,10 +325,6 @@ void ModelServer::ApplyQuantileBands(Prediction* prediction) const {
 
 ModelServer::Prediction ModelServer::Serve(
     int32_t shop, double deadline_ms, const obs::RequestContext& ctx) const {
-  // Arena scope for the whole request: in steady state the forward's tensor
-  // buffers are all cache hits, so a Predict allocates ~nothing from the
-  // system heap (see docs/PERFORMANCE.md).
-  util::ArenaScope arena_scope;
   // Per-request RNG: the ego subgraph depends only on (config.seed, shop),
   // never on what was served before — see RequestSeed above.
   Rng rng(RequestSeed(config_.seed, shop));

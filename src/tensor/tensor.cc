@@ -5,6 +5,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "obs/obs.h"
 #include "util/check.h"
 #include "util/compiler.h"
 
@@ -21,16 +22,45 @@ int64_t Product(const std::vector<int64_t>& shape) {
   return n;
 }
 
+/// Allocation instruments. The bench harness and gaia_bench read these to
+/// expose tensor churn alongside wall time (docs/OBSERVABILITY.md).
+/// Resolved once; references are stable for the registry's lifetime.
+struct AllocMetrics {
+  obs::Counter& tensors = obs::MetricsRegistry::Global().GetCounter(
+      "gaia_alloc_tensors_total",
+      "Tensor buffers constructed (Zeros/Randn/op results; copies excluded)");
+  obs::Counter& bytes = obs::MetricsRegistry::Global().GetCounter(
+      "gaia_alloc_bytes_total",
+      "Bytes allocated for tensor buffers constructed from a shape");
+  static AllocMetrics& Get() {
+    static AllocMetrics* metrics = new AllocMetrics();
+    return *metrics;
+  }
+};
+
+/// Every shape-constructing path (and so every factory and op result) lands
+/// here. Off-path cost is one relaxed load and a branch.
+void CountTensorAlloc(size_t elements) {
+  if (elements > 0 && obs::Enabled()) {
+    AllocMetrics& metrics = AllocMetrics::Get();
+    metrics.tensors.Increment();
+    metrics.bytes.Increment(elements * sizeof(float));
+  }
+}
+
 }  // namespace
 
 Tensor::Tensor(std::vector<int64_t> shape)
-    : shape_(std::move(shape)), data_(Product(shape_)) {}
+    : shape_(std::move(shape)),
+      data_(static_cast<size_t>(Product(shape_)), 0.0f) {
+  CountTensorAlloc(data_.size());
+}
 
 Tensor::Tensor(std::vector<int64_t> shape, std::vector<float> data)
-    : shape_(std::move(shape)),
-      data_(static_cast<int64_t>(data.size()), data.data()) {
-  GAIA_CHECK_EQ(Product(shape_), static_cast<int64_t>(data.size()))
+    : shape_(std::move(shape)), data_(std::move(data)) {
+  GAIA_CHECK_EQ(Product(shape_), static_cast<int64_t>(data_.size()))
       << "shape does not match data size";
+  CountTensorAlloc(data_.size());
 }
 
 Tensor Tensor::Full(std::vector<int64_t> shape, float value) {

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "util/arena.h"
 #include "util/rng.h"
 
 namespace gaia {
@@ -17,13 +16,6 @@ namespace gaia {
 /// a shape. Copies are deep; moves are cheap. All shape mismatches are
 /// programming errors and abort via GAIA_CHECK — shape-correctness is
 /// established at model-construction time through Status-returning factories.
-///
-/// Storage is a util::FloatBuffer drawn from the per-thread TensorArena:
-/// under an ArenaScope (every serving/training hot path opens one) buffers
-/// come from and return to a thread-local cache instead of the system heap,
-/// so steady-state forwards allocate ~nothing. Buffers are always
-/// zero-initialized and 64-byte aligned; see src/util/arena.h and
-/// docs/PERFORMANCE.md.
 class Tensor {
  public:
   Tensor() = default;
@@ -106,7 +98,7 @@ class Tensor {
 
  private:
   std::vector<int64_t> shape_;
-  util::FloatBuffer data_;
+  std::vector<float> data_;
 };
 
 /// Elementwise arithmetic; all require identical shapes.

@@ -1,143 +1,19 @@
 #ifndef GAIA_UTIL_ARENA_H_
 #define GAIA_UTIL_ARENA_H_
 
-#include <cstddef>
-#include <cstdint>
-
 namespace gaia::util {
 
-/// \brief Per-thread caching allocator for tensor storage.
+/// \brief No-op scope kept only so gaia_bench/replay.cc, which still opens
+/// two of these, compiles unchanged. Tensor storage is a plain
+/// std::vector<float>; there is no tensor allocator behind this. The next
+/// change to gaia_bench deletes both this header and those two locals.
 ///
-/// The forward/backward hot paths churn thousands of small float buffers per
-/// call (op results, gradients, packed activations). TensorArena kills that
-/// heap traffic the way the classic caching-allocator idiom does: freed
-/// buffers are parked on per-thread free lists bucketed by power-of-two size
-/// class, and the next allocation of the same class pops the list instead of
-/// touching the system heap. In steady state a `Predict` allocates ~zero
-/// from the heap — every buffer is a cache hit.
-///
-/// Ownership model (why there is no lifetime footgun): the arena only ever
-/// owns *free* buffers. A live buffer is owned by its FloatBuffer/Tensor and
-/// may outlive every ArenaScope and even the allocating thread; Release
-/// simply parks it on the *releasing* thread's free list. Caches are
-/// returned to the heap when their thread exits; releases that happen after
-/// that (static-destruction stragglers) fall back to a plain heap free.
-///
-/// Determinism: Allocate always returns zero-filled memory (exactly what the
-/// previous std::vector-backed storage provided), so arena on/off/reuse is
-/// bitwise invisible to every kernel. The 8-thread hammer in
-/// tensor_arena_test plus the TSan CI job keep the cross-thread release
-/// path honest.
-///
-/// Knobs:
-///  - `GAIA_ARENA=0` env (or SetEnabled(false)) is the kill-switch: every
-///    allocation goes straight to the heap, for allocator-suspect debugging.
-///  - `GAIA_ARENA_CAP_MB` bounds the bytes one thread may cache (default
-///    256 MiB); releases beyond the cap free to the heap instead.
-///
-/// Metrics (docs/OBSERVABILITY.md): `gaia_arena_bytes_in_use` /
-/// `gaia_arena_high_water` gauges and `gaia_arena_reuse_total` counter,
-/// plus `gaia_alloc_{tensors,bytes}_total` which — since this PR — count
-/// buffers that actually hit the system heap (arena hits excluded), so the
-/// bench harness's per-case allocation attribution directly reads "how much
-/// heap churn is left".
-class TensorArena {
- public:
-  /// Per-thread accounting, exact for single-threaded sections (tests use
-  /// this; cross-thread frees make live_bytes a net flow, not a gauge).
-  struct ThreadStats {
-    int64_t live_bytes = 0;       ///< arena bytes lent out minus returned
-    int64_t high_water_bytes = 0; ///< max of live_bytes on this thread
-    int64_t cached_bytes = 0;     ///< bytes parked on this thread's free lists
-    int64_t reuse_count = 0;      ///< allocations served from the cache
-    int64_t heap_allocs = 0;      ///< allocations that hit the system heap
-  };
-
-  /// Returns a zero-filled buffer of `n` floats (nullptr when n == 0).
-  /// Served from the current thread's cache when the arena is enabled and
-  /// an ArenaScope is active; from the heap otherwise.
-  static float* Allocate(int64_t n);
-
-  /// Variant that skips the zero-fill for callers that overwrite every
-  /// element immediately (FloatBuffer's copy path).
-  static float* AllocateUninitialized(int64_t n);
-
-  /// Returns a buffer obtained from Allocate*. Arena-class buffers are
-  /// parked on the *current* thread's free list (wherever they were
-  /// allocated); plain buffers are freed to the heap.
-  static void Release(float* ptr);
-
-  /// Process-wide enable flag. Defaults to the GAIA_ARENA environment
-  /// variable ("0"/"off"/"false" disable; anything else, including unset,
-  /// enables). SetEnabled overrides at runtime — tests use it to prove the
-  /// fallback path is bitwise identical.
-  static bool Enabled();
-  static void SetEnabled(bool enabled);
-
-  /// True when at least one ArenaScope is live on this thread.
-  static bool ScopeActive();
-
-  /// This thread's accounting (see ThreadStats).
-  static ThreadStats Stats();
-
-  /// Frees every buffer cached by this thread back to the heap.
-  static void Trim();
-
-  /// Parses a GAIA_ARENA-style value; exposed for the env-knob test.
-  static bool ParseEnabled(const char* value);
-};
-
-/// \brief RAII activation of the arena on the current thread.
-///
-/// The hot-path entries (ModelServer::Serve, GaiaModel::Predict*,
-/// Trainer::Fit, pool worker loops) open one of these; every Tensor
-/// constructed below them draws from / returns to the thread cache. Scopes
-/// nest freely (a refcount); tensors may escape the scope — see the
-/// ownership model above.
+/// The constructor is user-provided so the locals count as used under -Wall.
 class ArenaScope {
  public:
-  ArenaScope();
-  ~ArenaScope();
+  ArenaScope() {}
   ArenaScope(const ArenaScope&) = delete;
   ArenaScope& operator=(const ArenaScope&) = delete;
-};
-
-/// \brief Owning float buffer backing Tensor, allocated via TensorArena.
-///
-/// The rule-of-five replacement for the old std::vector<float> storage:
-/// copies are deep, moves are pointer swaps, destruction returns the buffer
-/// to the arena. Copy-assignment between equal-sized buffers reuses the
-/// destination allocation (the optimizer snapshot/restore path hits this).
-class FloatBuffer {
- public:
-  FloatBuffer() = default;
-  /// Zero-filled buffer of `n` floats.
-  explicit FloatBuffer(int64_t n)
-      : data_(TensorArena::Allocate(n)), size_(n) {}
-  /// Buffer initialized from `src[0, n)`.
-  FloatBuffer(int64_t n, const float* src);
-  FloatBuffer(const FloatBuffer& other);
-  FloatBuffer(FloatBuffer&& other) noexcept
-      : data_(other.data_), size_(other.size_) {
-    other.data_ = nullptr;
-    other.size_ = 0;
-  }
-  FloatBuffer& operator=(const FloatBuffer& other);
-  FloatBuffer& operator=(FloatBuffer&& other) noexcept;
-  ~FloatBuffer() {
-    if (data_ != nullptr) TensorArena::Release(data_);
-  }
-
-  float* data() { return data_; }
-  const float* data() const { return data_; }
-  float& operator[](size_t i) { return data_[i]; }
-  float operator[](size_t i) const { return data_[i]; }
-  int64_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
- private:
-  float* data_ = nullptr;
-  int64_t size_ = 0;
 };
 
 }  // namespace gaia::util

@@ -2,7 +2,7 @@
 #define GAIA_UTIL_COMPILER_H_
 
 /// Compiler hints shared by the hot kernels. Kept in one tiny header so the
-/// tensor ops, the arena, and any future kernel agree on the spelling.
+/// tensor ops and any future kernel agree on the spelling.
 
 /// No-alias pointer qualifier. The packed GEMM and the vectorized inner
 /// loops in tensor_ops.cc use it to tell the autovectorizer that input and

@@ -1,5 +1,4 @@
 #include "util/thread_pool.h"
-#include "util/arena.h"
 
 #include <algorithm>
 #include <atomic>
@@ -106,9 +105,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::WorkerLoop() {
-  // Permanent arena scope: a pool worker's tensor churn (chunk bodies of the
-  // parallel kernels) caches in its thread-local free lists across jobs.
-  ArenaScope arena_scope;
   for (;;) {
     std::shared_ptr<Job> job;
     {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <string>
 
 #include "autograd/grad_check.h"
@@ -70,6 +71,11 @@ struct GradCase {
   std::vector<std::vector<int64_t>> param_shapes;
   BuildFn build;
 };
+
+// gtest prints GetParam() into each discovered test name; without this it
+// dumps the struct's raw bytes, heap pointers included, so names change per
+// build.
+void PrintTo(const GradCase& c, std::ostream* os) { *os << c.name; }
 
 class GradCheckTest : public ::testing::TestWithParam<GradCase> {};
 

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "obs/metrics.h"
+
 namespace gaia {
 namespace {
 
@@ -156,6 +158,29 @@ TEST(TensorTest, ToStringTruncates) {
   Tensor t({100});
   const std::string s = t.ToString(4);
   EXPECT_NE(s.find("..."), std::string::npos);
+}
+
+TEST(TensorTest, ShapeConstructionFeedsAllocCountersOnlyWhenObsIsOn) {
+  const obs::Level saved_level = obs::CurrentLevel();
+  auto& registry = obs::MetricsRegistry::Global();
+  auto& tensors = registry.GetCounter("gaia_alloc_tensors_total");
+  auto& bytes = registry.GetCounter("gaia_alloc_bytes_total");
+
+  obs::SetLevel(obs::Level::kOn);
+  uint64_t tensors_before = tensors.value();
+  uint64_t bytes_before = bytes.value();
+  Tensor counted({3, 4});
+  EXPECT_EQ(tensors.value() - tensors_before, 1u);
+  EXPECT_EQ(bytes.value() - bytes_before, 48u);
+
+  obs::SetLevel(obs::Level::kOff);
+  tensors_before = tensors.value();
+  bytes_before = bytes.value();
+  Tensor uncounted({3, 4});
+  EXPECT_EQ(tensors.value(), tensors_before);
+  EXPECT_EQ(bytes.value(), bytes_before);
+
+  obs::SetLevel(saved_level);
 }
 
 }  // namespace
