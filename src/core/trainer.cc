@@ -21,6 +21,29 @@ namespace gaia::core {
 
 namespace ag = autograd;
 
+namespace {
+
+// Fault site "train.optimizer_step" (a failed update) skips this epoch's
+// parameter update entirely — params and optimizer state stay at the
+// previous epoch — and training retries on the next epoch.
+bool SampleOptimizerStepFault() {
+  util::FaultInjector& faults = util::FaultInjector::Global();
+  return faults.enabled() &&
+         faults.Sample("train.optimizer_step").has_value();
+}
+
+void CountSkippedStep(TrainResult* result) {
+  ++result->skipped_steps;
+  static obs::Counter& skipped_metric =
+      obs::MetricsRegistry::Global().GetCounter(
+          "gaia_robust_train_steps_skipped_total",
+          "Training epochs whose optimizer step was skipped by an "
+          "injected fault");
+  skipped_metric.Increment();
+}
+
+}  // namespace
+
 double Trainer::EvaluateMse(ForecastModel* model,
                             const data::ForecastDataset& dataset,
                             const std::vector<int32_t>& nodes) {
@@ -57,37 +80,8 @@ double Trainer::EvaluateMse(ForecastModel* model,
   return total / static_cast<double>(count);
 }
 
-bool Trainer::SampleTrainStepFaults() {
-  // Fault sites "train.grad_exchange" (a lost gradient all-reduce) and
-  // "train.optimizer_step" (a failed update) both resolve to skipping this
-  // epoch's parameter update entirely — params and optimizer state stay at
-  // the previous epoch — and training retries on the next epoch. Both sites
-  // are sampled every epoch so count-bounded budgets stay exact.
-  util::FaultInjector& faults = util::FaultInjector::Global();
-  if (!faults.enabled()) return false;
-  const bool grad_fault = faults.Sample("train.grad_exchange").has_value();
-  const bool step_fault = faults.Sample("train.optimizer_step").has_value();
-  return grad_fault || step_fault;
-}
-
-void Trainer::CountSkippedStep(TrainResult* result) {
-  ++result->skipped_steps;
-  static obs::Counter& skipped_metric =
-      obs::MetricsRegistry::Global().GetCounter(
-          "gaia_robust_train_steps_skipped_total",
-          "Training epochs whose optimizer step was skipped by an "
-          "injected fault");
-  skipped_metric.Increment();
-}
-
 TrainResult Trainer::Fit(ForecastModel* model,
                          const data::ForecastDataset& dataset) const {
-  return Fit(model, dataset, TrainHooks{});
-}
-
-TrainResult Trainer::Fit(ForecastModel* model,
-                         const data::ForecastDataset& dataset,
-                         const TrainHooks& hooks) const {
   GAIA_CHECK(model != nullptr);
   if (config_.num_threads > 0) {
     util::ThreadPool::SetGlobalThreads(config_.num_threads);
@@ -146,7 +140,6 @@ TrainResult Trainer::Fit(ForecastModel* model,
       rng.Shuffle(&batch);
       batch.resize(static_cast<size_t>(config_.batch_nodes));
     }
-    if (hooks.shard_batch) hooks.shard_batch(epoch, &batch);
     Stopwatch step_watch;
     float step_loss = 0.0f;
     bool aborted = false;
@@ -171,16 +164,7 @@ TrainResult Trainer::Fit(ForecastModel* model,
           aborted = true;
         } else {
           GAIA_OBS_SPAN("trainer.optimizer_step");
-          const bool local_fault = SampleTrainStepFaults();
-          bool skip_step = local_fault;
-          if (hooks.exchange_gradients) {
-            // Distributed mode: the hook all-reduces the shard gradients
-            // and folds this worker's local fault into the collective
-            // verdict, so every worker skips or steps in lockstep.
-            skip_step = !hooks.exchange_gradients(
-                epoch, loss->value.data()[0], local_fault);
-          }
-          if (skip_step) {
+          if (SampleOptimizerStepFault()) {
             CountSkippedStep(&result);
           } else {
             optim::ClipGradNorm(params, config_.grad_clip);

@@ -2,7 +2,6 @@
 #define GAIA_CORE_TRAINER_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/forecast_model.h"
@@ -48,35 +47,13 @@ struct TrainResult {
   /// parameters still hold the best (or last completed) epoch's state.
   bool cancelled = false;
   /// Epochs whose optimizer step was skipped by an injected fault
-  /// (train.grad_exchange / train.optimizer_step sites).
+  /// (train.optimizer_step site).
   int skipped_steps = 0;
   double best_val_loss = 0.0;
   double final_train_loss = 0.0;
   double seconds = 0.0;
   std::vector<double> train_loss_history;
   std::vector<double> val_loss_history;
-};
-
-/// \brief Extension points that let a data-parallel driver (dist::DistTrainer
-/// workers) reuse Fit's exact epoch loop — batch selection, loss, backward,
-/// clip, Adam, eval, early stopping — while inserting sharding and a gradient
-/// exchange at the two spots where distributed training differs.
-///
-/// Both hooks are optional; default-constructed TrainHooks reproduce the
-/// in-process Fit bit for bit. A hook that does no numeric work (world size
-/// 1) also reproduces it bit for bit, which is the N=1 equality contract.
-struct TrainHooks {
-  /// Called after the epoch's batch is selected (post shuffle/trim); the
-  /// worker replaces `*batch` with its shard. The shared rng has already
-  /// advanced identically on every worker, so all shards are consistent.
-  std::function<void(int epoch, std::vector<int32_t>* batch)> shard_batch;
-  /// Called between backward and the optimizer step with the shard loss and
-  /// whether this worker's own train.grad_exchange / train.optimizer_step
-  /// fault fired. Performs the all-reduce, leaves the reduced gradients in
-  /// the parameters, and returns true to apply the step or false to skip it
-  /// (counted via CountSkippedStep, exactly like a local fault).
-  std::function<bool(int epoch, float shard_loss, bool local_fault)>
-      exchange_gradients;
 };
 
 /// \brief MSE training loop (Eq. 10) with gradient clipping, validation
@@ -88,27 +65,11 @@ class Trainer {
   TrainResult Fit(ForecastModel* model,
                   const data::ForecastDataset& dataset) const;
 
-  /// Fit with distributed-training extension points; see TrainHooks.
-  TrainResult Fit(ForecastModel* model, const data::ForecastDataset& dataset,
-                  const TrainHooks& hooks) const;
-
   /// Mean squared error of the model on the given nodes (normalized units,
   /// no gradient bookkeeping kept).
   static double EvaluateMse(ForecastModel* model,
                             const data::ForecastDataset& dataset,
                             const std::vector<int32_t>& nodes);
-
-  /// Samples the train.grad_exchange and train.optimizer_step fault sites
-  /// (both every call, so count-bounded budgets stay exact across processes)
-  /// and returns true when either fired. Shared by Fit and DistTrainer
-  /// workers so single- and multi-process training draw identical fault
-  /// sequences.
-  static bool SampleTrainStepFaults();
-
-  /// Records one skipped optimizer step: bumps result->skipped_steps and the
-  /// unconditional gaia_robust_train_steps_skipped_total counter. The one
-  /// place skip-step bookkeeping lives for both training modes.
-  static void CountSkippedStep(TrainResult* result);
 
  private:
   TrainConfig config_;

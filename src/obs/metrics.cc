@@ -314,19 +314,6 @@ double MetricsRegistry::GaugeValue(const std::string& name) const {
   return it->second.gauge->value();
 }
 
-std::vector<std::pair<std::string, uint64_t>> MetricsRegistry::CounterSamples()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, uint64_t>> samples;
-  samples.reserve(metrics_.size());
-  for (const auto& [name, entry] : metrics_) {
-    if (entry.counter != nullptr) {
-      samples.emplace_back(name, entry.counter->value());
-    }
-  }
-  return samples;
-}
-
 void MetricsRegistry::ResetAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, entry] : metrics_) {

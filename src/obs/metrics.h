@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace gaia::obs {
@@ -133,10 +132,6 @@ class MetricsRegistry {
   /// returns 0.0 when `name` is unregistered. /statusz uses this to report
   /// the drift gauges without registering them itself.
   double GaugeValue(const std::string& name) const;
-
-  /// Name/value snapshot of every registered counter, sorted by name. The
-  /// dist worker diffs two snapshots to ship per-epoch deltas upstream.
-  std::vector<std::pair<std::string, uint64_t>> CounterSamples() const;
 
   /// Zeroes every registered metric (tools and tests isolate runs with
   /// this); registrations themselves are kept.

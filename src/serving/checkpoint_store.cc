@@ -376,11 +376,4 @@ Result<CheckpointStore::LoadReport> CheckpointStore::LoadLatestGood(
   return last;
 }
 
-Status CheckpointStore::Adopt(const std::string& path) {
-  GAIA_RETURN_NOT_OK(nn::Module::VerifyCheckpoint(path));
-  history_.push_back(path);
-  WriteManifest();
-  return Status::OK();
-}
-
 }  // namespace gaia::serving

@@ -100,9 +100,6 @@ class CheckpointStore {
   /// one applies. Fails with the last error when none does.
   Result<LoadReport> LoadLatestGood(nn::Module* module) const;
 
-  /// Registers an externally produced checkpoint file as the newest entry.
-  Status Adopt(const std::string& path);
-
   /// Known checkpoint paths, oldest first.
   const std::vector<std::string>& history() const { return history_; }
   const std::string& dir() const { return config_.dir; }

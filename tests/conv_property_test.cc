@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -28,6 +29,16 @@ struct ConvCase {
   int64_t c_in;
   int64_t c_out;
 };
+
+std::string ConvCaseName(const ConvCase& c) {
+  return "k" + std::to_string(c.kernel) + "_d" + std::to_string(c.dilation) +
+         (c.mode == PadMode::kCausal ? "_causal" : "_same") + "_ci" +
+         std::to_string(c.c_in) + "_co" + std::to_string(c.c_out);
+}
+
+// Without this gtest prints the parameter as its raw bytes (padding
+// included), which leaks into the ctest names.
+void PrintTo(const ConvCase& c, std::ostream* os) { *os << ConvCaseName(c); }
 
 class ConvPropertyTest : public ::testing::TestWithParam<ConvCase> {};
 
@@ -99,11 +110,7 @@ std::vector<ConvCase> MakeConvCases() {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ConvPropertyTest, ::testing::ValuesIn(MakeConvCases()),
     [](const ::testing::TestParamInfo<ConvCase>& info) {
-      const ConvCase& c = info.param;
-      return "k" + std::to_string(c.kernel) + "_d" +
-             std::to_string(c.dilation) +
-             (c.mode == PadMode::kCausal ? "_causal" : "_same") + "_ci" +
-             std::to_string(c.c_in) + "_co" + std::to_string(c.c_out);
+      return ConvCaseName(info.param);
     });
 
 // ---------------------------------------------------------------------------

@@ -12,16 +12,7 @@
 //       scenario test — can be re-dumped exactly for offline repro.
 //   gaia_cli train --market DIR --checkpoint FILE [--epochs N]
 //       [--channels C] [--layers L] [--metrics-out FILE]
-//       [--workers N] [--min-workers M] [--store DIR]
 //       Train Gaia on a market directory and publish a checkpoint.
-//       --workers N trains data-parallel across N worker processes with a
-//       deterministic ring all-reduce and a supervising failure ladder
-//       (heartbeat -> retry -> skip-step -> degrade; see
-//       docs/ROBUSTNESS.md). Results are bitwise reproducible at fixed N,
-//       and N=1 matches the in-process trainer exactly. --store DIR also
-//       adopts the verified checkpoint into a CheckpointStore there.
-//       (train-worker is the hidden worker-process mode DistTrainer
-//       spawns; it is not part of the user-facing surface.)
 //   gaia_cli evaluate --market DIR --checkpoint FILE [--channels C]
 //       [--layers L]
 //       Evaluate a published checkpoint on the market's test split.
@@ -71,8 +62,6 @@
 #include "core/trainer.h"
 #include "data/market_io.h"
 #include "data/market_simulator.h"
-#include "dist/dist_trainer.h"
-#include "dist/worker.h"
 #include "obs/admin_server.h"
 #include "obs/obs.h"
 #include "serving/model_server.h"
@@ -325,7 +314,7 @@ int Train(const Args& args) {
   }
   MetricsDump metrics_dump(args);
   // Training exposes the same admin plane (health stays 503 until the
-  // checkpoint is written, /metrics shows dist aggregation live).
+  // checkpoint is written, /metrics shows training progress live).
   AdminPlane admin(args);
   if (!admin.failed().empty()) return Fail(admin.failed());
   auto dataset = LoadDataset(args.Get("market", ""));
@@ -335,42 +324,6 @@ int Train(const Args& args) {
   core::TrainConfig tc;
   tc.max_epochs = static_cast<int>(args.GetInt("epochs", 100));
   tc.verbose = args.Has("verbose");
-  const int workers = static_cast<int>(args.GetInt("workers", 0));
-  if (workers > 0) {
-    // Multi-process data-parallel path: DistTrainer spawns N train-worker
-    // replicas of this binary and supervises them; the checkpoint is
-    // written and CRC-verified by the lowest surviving rank.
-    dist::DistTrainerConfig dc;
-    dc.num_workers = workers;
-    dc.min_workers = static_cast<int>(args.GetInt("min-workers", 1));
-    dc.market_dir = args.Get("market", "");
-    dc.checkpoint_path = args.Get("checkpoint", "");
-    dc.store_dir = args.Get("store", "");
-    dc.channels = args.GetInt("channels", 16);
-    dc.num_layers = args.GetInt("layers", 2);
-    dc.model_seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-    dc.train = tc;
-    auto dist_result = dist::DistTrainer(dc).Fit();
-    if (!dist_result.ok()) return Fail(dist_result.status().ToString());
-    const dist::DistTrainResult& dr = dist_result.value();
-    std::cout << "trained " << dr.epochs_run << " epochs across "
-              << dr.workers_started << " workers in "
-              << TablePrinter::FormatDouble(dr.seconds, 1)
-              << "s, best val MSE "
-              << TablePrinter::FormatDouble(dr.best_val_loss, 4) << ", "
-              << dr.skipped_steps << " steps skipped, " << dr.workers_lost
-              << " workers lost" << (dr.degraded ? " (degraded)" : "")
-              << "\n";
-    std::cout << "checkpoint written to " << dr.checkpoint_path << "\n";
-    admin.NoteCheckpoint(dr.checkpoint_path);
-    admin.MarkReady();
-    Status loaded = model.value()->Load(dr.checkpoint_path);
-    if (!loaded.ok()) return Fail(loaded.ToString());
-    PrintReport(core::Evaluator::Evaluate(
-        model.value().get(), dataset.value(), dataset.value().test_nodes()));
-    admin.MaybeWait(args);
-    return 0;
-  }
   core::TrainResult result =
       core::Trainer(tc).Fit(model.value().get(), dataset.value());
   std::cout << "trained " << result.epochs_run << " epochs in "
@@ -493,37 +446,6 @@ int Serve(const Args& args) {
   return 0;
 }
 
-/// Hidden worker-process mode: DistTrainer spawns `gaia_cli train-worker`
-/// with the pipe fds and an argv-serialized TrainConfig (floats travel as
-/// hexfloats, so the worker's config is bit-exact).
-int TrainWorker(const Args& args) {
-  dist::WorkerOptions opts;
-  opts.rank = static_cast<int>(args.GetInt("rank", 0));
-  opts.world = static_cast<int>(args.GetInt("world", 1));
-  opts.read_fd = static_cast<int>(args.GetInt("read-fd", -1));
-  opts.write_fd = static_cast<int>(args.GetInt("write-fd", -1));
-  opts.market_dir = args.Get("market", "");
-  opts.channels = args.GetInt("channels", 16);
-  opts.num_layers = args.GetInt("layers", 2);
-  opts.model_seed = static_cast<uint64_t>(args.GetInt("model-seed", 1));
-  opts.heartbeat_ms = args.GetDouble("heartbeat-ms", 100.0);
-  opts.recv_timeout_ms = args.GetDouble("recv-timeout-ms", 30000.0);
-  opts.outcome_timeout_ms = args.GetDouble("outcome-timeout-ms", 120000.0);
-  core::TrainConfig& tc = opts.train;
-  tc.max_epochs = static_cast<int>(args.GetInt("epochs", 100));
-  tc.learning_rate = static_cast<float>(args.GetDouble("lr", 3e-3));
-  tc.grad_clip = static_cast<float>(args.GetDouble("grad-clip", 5.0));
-  tc.patience = static_cast<int>(args.GetInt("patience", 12));
-  tc.eval_every = static_cast<int>(args.GetInt("eval-every", 5));
-  tc.batch_nodes = args.GetInt("batch-nodes", 0);
-  tc.cosine_lr_decay = args.GetInt("cosine", 1) != 0;
-  tc.seed = static_cast<uint64_t>(args.GetInt("seed", 99));
-  if (opts.read_fd < 0 || opts.write_fd < 0 || opts.market_dir.empty()) {
-    return Fail("train-worker requires --read-fd, --write-fd and --market");
-  }
-  return dist::RunTrainWorker(opts);
-}
-
 int Main(int argc, char** argv) {
   if (argc < 2) {
     std::cerr << "usage: gaia_cli {simulate|train|evaluate|serve} "
@@ -534,7 +456,6 @@ int Main(int argc, char** argv) {
   Args args(argc, argv);
   if (command == "simulate") return Simulate(args);
   if (command == "train") return Train(args);
-  if (command == "train-worker") return TrainWorker(args);
   if (command == "evaluate") return Evaluate(args);
   if (command == "serve") return Serve(args);
   return Fail("unknown command: " + command);
