@@ -21,7 +21,7 @@ namespace gaia::bench::harness {
 
 namespace {
 
-// Same 200-shop market as the deployment suite; the servers pin the pool
+// Same 200-shop market as the deployment suite; the fixture pins the pool
 // back to the process default so a preceding scaling sweep cannot leak its
 // last thread count into these numbers.
 struct CancelFixture {
@@ -40,8 +40,8 @@ struct CancelFixture {
                           gaia_cfg, dataset->history_len(), dataset->horizon(),
                           dataset->temporal_dim(), dataset->static_dim()))
                 .value();
+    util::ThreadPool::SetGlobalThreads(util::ThreadPool::DefaultThreads());
     serving::ServerConfig coop_cfg;
-    coop_cfg.num_threads = util::ThreadPool::DefaultThreads();
     cooperative = std::make_unique<serving::ModelServer>(model, dataset,
                                                          coop_cfg);
     serving::ServerConfig posthoc_cfg = coop_cfg;

@@ -21,7 +21,7 @@ namespace gaia::bench::harness {
 namespace {
 
 // Same 200-shop market as the other suites. The model is untrained —
-// weights do not change the serve-path cost — and the server pins the pool
+// weights do not change the serve-path cost — and the fixture pins the pool
 // back to the process default so a preceding scaling sweep cannot leak its
 // last thread count into the serving numbers.
 struct DeploymentFixture {
@@ -40,8 +40,8 @@ struct DeploymentFixture {
                           gaia_cfg, dataset->history_len(), dataset->horizon(),
                           dataset->temporal_dim(), dataset->static_dim()))
                 .value();
+    util::ThreadPool::SetGlobalThreads(util::ThreadPool::DefaultThreads());
     serving::ServerConfig server_cfg;
-    server_cfg.num_threads = util::ThreadPool::DefaultThreads();
     server = std::make_unique<serving::ModelServer>(model, dataset,
                                                     server_cfg);
     checkpoint_path = "/tmp/gaia_bench_ckpt_" +

@@ -71,20 +71,6 @@ void RegisterScalingCases(Harness& harness, std::vector<int> thread_counts) {
         },
         options);
 
-    // Ego-batch inference (the serving sweep shape): extraction is serial
-    // by design (rng order), the per-shop forwards fan out.
-    harness.AddCase(
-        "scaling.ego_batch" + suffix,
-        [threads] {
-          auto& fx = Fixture();
-          util::ThreadPool::SetGlobalThreads(threads);
-          Rng rng(13);  // re-seeded so every repetition samples identical egos
-          KeepAlive(fx.model->PredictNodesViaEgo(*fx.dataset, fx.all_nodes,
-                                                 /*num_hops=*/2,
-                                                 /*max_fanout=*/10, &rng));
-        },
-        options);
-
     // One full training step: forward + loss + backward over the whole
     // graph. Backward stays serial, so this shows the Amdahl ceiling.
     options.items_per_rep = 0;

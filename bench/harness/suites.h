@@ -7,7 +7,7 @@
 
 namespace gaia::bench::harness {
 
-/// The three measured layers of the perf trajectory (docs/BENCHMARKING.md).
+/// The five measured suites of the perf trajectory (docs/BENCHMARKING.md).
 /// Each Register* call appends its cases to `harness`; drivers pick the
 /// subset they care about, bench/perf_suite registers all of them.
 
@@ -15,8 +15,8 @@ namespace gaia::bench::harness {
 /// ego-subgraph extraction and single-shop inference. Tag: "tensor".
 void RegisterTensorCases(Harness& harness);
 
-/// Fixed Gaia workloads (full-graph forward, ego-batch forward, training
-/// step, 256x256 MatMul) swept over pool sizes. Leaves the global pool at
+/// Fixed Gaia workloads (full-graph forward, training step, 256x256 MatMul)
+/// swept over pool sizes. Leaves the global pool at
 /// the last swept size. Tag: "scaling".
 void RegisterScalingCases(Harness& harness,
                           std::vector<int> thread_counts = {1, 2, 4, 8});

@@ -4,7 +4,6 @@
 #include "obs/obs.h"
 #include "util/cancel.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace gaia::core {
 
@@ -51,9 +50,6 @@ GaiaModel::GaiaModel(const GaiaConfig& config, int64_t t_len, int64_t horizon,
       horizon_(horizon),
       d_temporal_(d_temporal),
       d_static_(d_static) {
-  if (config.num_threads > 0) {
-    util::ThreadPool::SetGlobalThreads(config.num_threads);
-  }
   Rng rng(config.seed);
   const int64_t c = config.channels;
   if (config.use_ffl) {
@@ -192,45 +188,6 @@ Result<Tensor> GaiaModel::PredictEgo(const data::ForecastDataset& dataset,
   return preds.front()->value;  // centre node is local id 0
 }
 
-std::vector<Var> GaiaModel::PredictNodesViaEgo(
-    const data::ForecastDataset& dataset, const std::vector<int32_t>& nodes,
-    int64_t num_hops, int64_t max_fanout, Rng* rng) const {
-  // Ego extraction stays serial: sampling consumes the rng, whose draw order
-  // must not depend on thread scheduling. The per-sample forwards are then
-  // independent graphs and fan out across the pool.
-  struct EgoWork {
-    graph::EsellerGraph graph;
-    std::vector<NodeInput> inputs;
-  };
-  std::vector<EgoWork> work(nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (util::CurrentCancelled()) return {};
-    graph::EgoSubgraph ego = graph::ExtractEgoSubgraph(
-        dataset.graph(), nodes[i], num_hops, max_fanout, rng);
-    // A failed extraction (fault injection) yields an empty subgraph; degrade
-    // to the isolated centre node so the batch forward stays well-formed.
-    if (ego.nodes.empty()) ego.nodes.push_back(nodes[i]);
-    Result<graph::EsellerGraph> local =
-        graph::EsellerGraph::Create(ego.num_nodes(), ego.edges);
-    GAIA_CHECK(local.ok()) << local.status().ToString();
-    work[i].graph = std::move(local).value();
-    work[i].inputs.reserve(ego.nodes.size());
-    for (int32_t global_id : ego.nodes) {
-      work[i].inputs.push_back(NodeInput{&dataset.z(global_id),
-                                         &dataset.temporal(global_id),
-                                         &dataset.static_features(global_id)});
-    }
-  }
-  std::vector<Var> out(nodes.size());
-  util::ParallelFor(static_cast<int64_t>(work.size()), [&](int64_t i) {
-    const EgoWork& w = work[static_cast<size_t>(i)];
-    std::vector<Var> preds = ForwardGraph(w.graph, w.inputs);
-    if (!preds.empty()) out[static_cast<size_t>(i)] = preds.front();
-  });
-  if (util::CurrentCancelled()) return {};
-  return out;
-}
-
 ItaProbe GaiaModel::CollectAttention(
     const data::ForecastDataset& dataset) const {
   const auto n = static_cast<int32_t>(dataset.num_nodes());
@@ -243,25 +200,6 @@ ItaProbe GaiaModel::CollectAttention(
   ItaProbe probe;
   ForwardGraph(dataset.graph(), inputs, &probe);
   return probe;
-}
-
-EgoSamplingGaia::EgoSamplingGaia(std::shared_ptr<GaiaModel> inner,
-                                 int64_t num_hops, int64_t train_fanout)
-    : num_hops_(num_hops), train_fanout_(train_fanout) {
-  GAIA_CHECK(inner != nullptr);
-  inner_ = AddModule("inner", std::move(inner));
-}
-
-std::vector<Var> EgoSamplingGaia::PredictNodes(
-    const data::ForecastDataset& dataset, const std::vector<int32_t>& nodes,
-    bool training, Rng* rng) {
-  GAIA_CHECK(rng != nullptr);
-  const int64_t fanout = training ? train_fanout_ : 0;
-  return inner_->PredictNodesViaEgo(dataset, nodes, num_hops_, fanout, rng);
-}
-
-std::string EgoSamplingGaia::name() const {
-  return inner_->name() + " (ego-batch)";
 }
 
 }  // namespace gaia::core

@@ -35,12 +35,6 @@ struct GaiaConfig {
 
   uint64_t seed = 1;
 
-  /// Worker threads for the parallel ITA-GCN forward. 0 keeps the current
-  /// process-wide pool (GAIA_NUM_THREADS or hardware concurrency); > 0 pins
-  /// the global pool to that size when the model is created. Outputs are
-  /// bitwise identical at any setting; 1 recovers the serial path exactly.
-  int num_threads = 0;
-
   /// Validates against the sequence length (kernel group widths must fit).
   Status Validate(int64_t t_len) const;
 };
@@ -84,16 +78,6 @@ class GaiaModel : public ForecastModel {
   Result<Tensor> PredictEgo(const data::ForecastDataset& dataset,
                             const graph::EgoSubgraph& ego) const;
 
-  /// AGL-style mini-batch path: one differentiable prediction per node, each
-  /// computed on that node's k-hop ego subgraph instead of the full graph.
-  /// With `max_fanout == 0` (no sampling) and `num_hops >= num_layers` this
-  /// is exact: message passing only reaches L hops, so the result matches
-  /// the full-graph forward bit for bit.
-  std::vector<Var> PredictNodesViaEgo(const data::ForecastDataset& dataset,
-                                      const std::vector<int32_t>& nodes,
-                                      int64_t num_hops, int64_t max_fanout,
-                                      Rng* rng) const;
-
   /// Runs a full-graph forward and returns the last layer's attention
   /// records (Fig. 4 case study).
   ItaProbe CollectAttention(const data::ForecastDataset& dataset) const;
@@ -121,29 +105,6 @@ class GaiaModel : public ForecastModel {
   std::shared_ptr<nn::Conv1dLayer> head_conv_;  ///< L^P: 1 filter, width 1
   Var head_weight_;                             ///< W^P: [T, T']
   Var head_bias_;                               ///< b^P: [T']
-};
-
-/// \brief Trainer adapter that runs Gaia in AGL-style mini-batch mode: every
-/// prediction is computed on the node's sampled ego subgraph (the industrial
-/// training regime of the paper's AGL stack) instead of the full graph.
-/// During evaluation (training == false) the full unsampled neighbourhood is
-/// used, which is exact for num_hops >= num_layers.
-class EgoSamplingGaia : public ForecastModel {
- public:
-  EgoSamplingGaia(std::shared_ptr<GaiaModel> inner, int64_t num_hops,
-                  int64_t train_fanout);
-
-  std::vector<Var> PredictNodes(const data::ForecastDataset& dataset,
-                                const std::vector<int32_t>& nodes,
-                                bool training, Rng* rng) override;
-  std::string name() const override;
-
-  const GaiaModel& inner() const { return *inner_; }
-
- private:
-  std::shared_ptr<GaiaModel> inner_;
-  int64_t num_hops_;
-  int64_t train_fanout_;
 };
 
 }  // namespace gaia::core

@@ -83,13 +83,9 @@ double Trainer::EvaluateMse(ForecastModel* model,
 TrainResult Trainer::Fit(ForecastModel* model,
                          const data::ForecastDataset& dataset) const {
   GAIA_CHECK(model != nullptr);
-  if (config_.num_threads > 0) {
-    util::ThreadPool::SetGlobalThreads(config_.num_threads);
-  }
   GAIA_OBS_SPAN("trainer.fit");
   // Fit's own deadline becomes a child of whatever token the caller
-  // installed (e.g. the scheduler's retrain budget), so either can abort
-  // the loop at the next safe point.
+  // installed, so either can abort the loop at the next safe point.
   std::shared_ptr<util::CancelToken> fit_token;
   const util::CancelToken* ambient = util::CancelToken::Current();
   if (config_.deadline_ms > 0.0) {

@@ -27,11 +27,6 @@ struct TrainConfig {
   bool cosine_lr_decay = true;
   uint64_t seed = 99;
   bool verbose = false;
-  /// Worker threads for the parallel forward/eval paths. 0 keeps the current
-  /// process-wide pool (GAIA_NUM_THREADS or hardware concurrency); > 0 pins
-  /// the global pool to that size when Fit starts. Results are bitwise
-  /// identical at any setting; 1 recovers the serial path exactly.
-  int num_threads = 0;
   /// Wall-clock budget for the whole Fit call in milliseconds (0 = none).
   /// Arms a util::CancelToken (a child of any ambient token, so a caller's
   /// budget also applies); when it fires the loop stops at the next safe

@@ -370,11 +370,7 @@ AdminServer::Route AdminServer::StatusRoute() {
      << ",\"dropped\":" << log.dropped() << "}"
      << ",\"drift\":{\"score\":" << registry.GaugeValue("gaia_drift_score")
      << ",\"window_cycles\":"
-     << registry.GaugeValue("gaia_drift_window_cycles")
-     << ",\"retrains_total\":"
-     << registry.CounterValue("gaia_drift_retrains_total")
-     << ",\"retrains_suppressed_total\":"
-     << registry.CounterValue("gaia_drift_retrains_suppressed_total") << "}";
+     << registry.GaugeValue("gaia_drift_window_cycles") << "}";
   {
     std::lock_guard<std::mutex> lock(reg_mu_);
     os << ",\"checks\":{";

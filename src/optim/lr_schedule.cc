@@ -18,17 +18,4 @@ float CosineDecayLr::LearningRate(int step, int total_steps) const {
                             amplitude * 0.5 * (1.0 + std::cos(progress * kPi)));
 }
 
-float StepDecayLr::LearningRate(int step, int /*total_steps*/) const {
-  if (period_ <= 0) return initial_;
-  const int drops = step / period_;
-  return initial_ * static_cast<float>(std::pow(factor_, drops));
-}
-
-float WarmupLr::LearningRate(int step, int total_steps) const {
-  const float target = inner_->LearningRate(step, total_steps);
-  if (warmup_steps_ <= 0 || step >= warmup_steps_) return target;
-  return target * static_cast<float>(step + 1) /
-         static_cast<float>(warmup_steps_);
-}
-
 }  // namespace gaia::optim

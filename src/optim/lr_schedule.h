@@ -1,66 +1,19 @@
 #ifndef GAIA_OPTIM_LR_SCHEDULE_H_
 #define GAIA_OPTIM_LR_SCHEDULE_H_
 
-#include <memory>
-
 namespace gaia::optim {
-
-/// \brief Learning-rate schedule: maps (step, total_steps) to a rate.
-/// Steps are 0-based; schedules must be monotone-safe for total_steps <= 1.
-class LrSchedule {
- public:
-  virtual ~LrSchedule() = default;
-
-  virtual float LearningRate(int step, int total_steps) const = 0;
-};
-
-/// Fixed learning rate.
-class ConstantLr : public LrSchedule {
- public:
-  explicit ConstantLr(float lr) : lr_(lr) {}
-  float LearningRate(int /*step*/, int /*total_steps*/) const override {
-    return lr_;
-  }
-
- private:
-  float lr_;
-};
 
 /// Half-cosine decay from `peak` to `floor` across the run — the default
 /// trainer schedule (damps late-training oscillation in attention models).
-class CosineDecayLr : public LrSchedule {
+/// Steps are 0-based; a run of total_steps <= 1 stays at `peak`.
+class CosineDecayLr {
  public:
   CosineDecayLr(float peak, float floor) : peak_(peak), floor_(floor) {}
-  float LearningRate(int step, int total_steps) const override;
+  float LearningRate(int step, int total_steps) const;
 
  private:
   float peak_;
   float floor_;
-};
-
-/// Multiplies the rate by `factor` every `period` steps.
-class StepDecayLr : public LrSchedule {
- public:
-  StepDecayLr(float initial, float factor, int period)
-      : initial_(initial), factor_(factor), period_(period) {}
-  float LearningRate(int step, int total_steps) const override;
-
- private:
-  float initial_;
-  float factor_;
-  int period_;
-};
-
-/// Linear warmup over the first `warmup_steps`, then delegates.
-class WarmupLr : public LrSchedule {
- public:
-  WarmupLr(std::shared_ptr<LrSchedule> inner, int warmup_steps)
-      : inner_(std::move(inner)), warmup_steps_(warmup_steps) {}
-  float LearningRate(int step, int total_steps) const override;
-
- private:
-  std::shared_ptr<LrSchedule> inner_;
-  int warmup_steps_;
 };
 
 }  // namespace gaia::optim

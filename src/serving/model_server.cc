@@ -132,9 +132,6 @@ ModelServer::ModelServer(std::shared_ptr<core::GaiaModel> model,
       config_(config) {
   GAIA_CHECK(model_ != nullptr);
   GAIA_CHECK(dataset_ != nullptr);
-  if (config_.num_threads > 0) {
-    util::ThreadPool::SetGlobalThreads(config_.num_threads);
-  }
 }
 
 std::vector<double> ModelServer::FallbackForecast(int32_t shop) const {

@@ -29,17 +29,6 @@ struct ServerConfig {
   /// therefore its forecast — is a pure function of the config, independent
   /// of request order, batching, shard assignment and thread count.
   uint64_t seed = 5;
-  /// Thread-count knob. 0 leaves the process-wide pool alone; > 0 resizes
-  /// the *global* pool (util::ThreadPool::SetGlobalThreads) at server
-  /// construction — it is NOT a private per-server pool, so it also affects
-  /// training and any other server in the process. PredictBatch's fan-out is
-  /// one outer ParallelFor over the requests: with an N-thread pool up to N
-  /// requests run concurrently, each forward running inline on its claimed
-  /// thread (nested loops never re-dispatch); with a 1-thread pool the whole
-  /// sweep runs inline on the calling thread and no worker threads are
-  /// involved (pinned by ShardedServingTest.PredictBatchFanout*). Forecast
-  /// values are bitwise identical at any setting.
-  int num_threads = 0;
   /// Per-request latency budget in milliseconds; a forward that overruns it
   /// is answered by the fallback forecaster instead. 0 disables the check
   /// (the default keeps no-fault runs bitwise identical to older builds).
@@ -138,8 +127,14 @@ class ModelServer {
                    const obs::RequestContext& ctx) const;
 
   /// Serves a batch of requests (the deployed system predicts millions of
-  /// e-sellers in a monthly sweep); Serve calls fan out across the global
-  /// pool, one request per claimed thread (see num_threads above).
+  /// e-sellers in a monthly sweep). The fan-out is one outer ParallelFor
+  /// over the requests on the process-wide pool (GAIA_NUM_THREADS /
+  /// util::ThreadPool::SetGlobalThreads): with an N-thread pool up to N
+  /// requests run concurrently, each forward running inline on its claimed
+  /// thread (nested loops never re-dispatch); with a 1-thread pool the whole
+  /// sweep runs inline on the calling thread and no worker threads are
+  /// involved (pinned by ShardedServingTest.PredictBatchFanout*). Forecast
+  /// values are bitwise identical at any pool size.
   std::vector<Prediction> PredictBatch(const std::vector<int32_t>& shops);
 
   /// Hot-swaps model weights from an offline-produced checkpoint, retrying

@@ -1,14 +1,12 @@
 #include "serving/monthly_scheduler.h"
 
+#include <algorithm>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "data/dataset.h"
 #include "obs/obs.h"
-#include "util/cancel.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace gaia::serving {
 
@@ -32,7 +30,7 @@ struct SchedulerMetrics {
       "Online serve sweep wall time per cycle");
   // Drift gauges are operational signals like the gaia_robust_* counters:
   // set unconditionally (once per cycle, not hot-path) so an operator sees
-  // drift with GAIA_OBS off. Groundwork for drift-triggered retraining.
+  // drift with GAIA_OBS off.
   obs::Gauge& drift_score = obs::MetricsRegistry::Global().GetGauge(
       "gaia_drift_score",
       "Relative excess of the latest served cycle's online MAE over the "
@@ -40,17 +38,6 @@ struct SchedulerMetrics {
   obs::Gauge& drift_window = obs::MetricsRegistry::Global().GetGauge(
       "gaia_drift_window_cycles",
       "Served cycles in the drift baseline window");
-  // Trigger counters, unconditional for the same reason as the gauges: an
-  // early retrain is exactly the event an operator pages on.
-  obs::Counter& drift_retrains = obs::MetricsRegistry::Global().GetCounter(
-      "gaia_drift_retrains_total",
-      "Early retrains fired because gaia_drift_score exceeded the trigger "
-      "threshold");
-  obs::Counter& drift_retrains_suppressed =
-      obs::MetricsRegistry::Global().GetCounter(
-          "gaia_drift_retrains_suppressed_total",
-          "Drift triggers ignored because they landed inside the retrain "
-          "cooldown window");
   static SchedulerMetrics& Get() {
     static SchedulerMetrics* metrics = new SchedulerMetrics();
     return *metrics;
@@ -80,9 +67,6 @@ Result<std::vector<MonthlyScheduler::CycleReport>> MonthlyScheduler::Run()
   // cycle served from stale weights measures the rollback, not the market,
   // and folding it in would poison every later cycle's baseline.
   std::vector<double> drift_window_maes;
-  // Cycle index of the last drift-triggered retrain (-1 = never); the
-  // cooldown is measured against it.
-  int last_drift_retrain_cycle = -1;
 
   for (int cycle = 0; cycle < config_.num_cycles; ++cycle) {
     GAIA_OBS_SPAN("scheduler.cycle");
@@ -149,16 +133,8 @@ Result<std::vector<MonthlyScheduler::CycleReport>> MonthlyScheduler::Run()
     OfflineTrainingPipeline pipeline(offline_cfg);
     OfflineTrainingPipeline::RunReport offline_report;
     std::shared_ptr<core::GaiaModel> model;
-    // Arm the retrain budget: Trainer::Fit picks the token up as its
-    // ambient parent and aborts between safe points once it fires.
-    std::shared_ptr<util::CancelToken> train_token;
-    if (config_.train_deadline_ms > 0.0) {
-      train_token = util::CancelToken::WithDeadline(config_.train_deadline_ms);
-    }
-    Result<std::shared_ptr<core::GaiaModel>> trained = [&] {
-      util::CancelScope train_scope(train_token.get());
-      return pipeline.Run(*dataset, &offline_report);
-    }();
+    Result<std::shared_ptr<core::GaiaModel>> trained =
+        pipeline.Run(*dataset, &offline_report);
     report.train = offline_report.train;
     if (obs::Enabled() && offline_report.train.epochs_run > 0) {
       SchedulerMetrics::Get().train_seconds.Observe(
@@ -262,120 +238,10 @@ Result<std::vector<MonthlyScheduler::CycleReport>> MonthlyScheduler::Run()
                 (mae - baseline) / std::max(baseline, 1e-12);
           }
 
-          // Drift-triggered early retrain: don't wait a month on a score
-          // this bad — retrain now on the same snapshot, serving every
-          // request from the incumbent weights until the swap.
-          if (config_.drift_trigger_threshold > 0.0 &&
-              report.drift_score > config_.drift_trigger_threshold) {
-            report.drift_triggered = true;
-            const bool cooling =
-                last_drift_retrain_cycle >= 0 &&
-                cycle - last_drift_retrain_cycle <=
-                    config_.drift_retrain_cooldown_cycles;
-            if (cooling) {
-              report.drift_suppressed = true;
-              SchedulerMetrics::Get().drift_retrains_suppressed.Increment();
-            } else {
-              last_drift_retrain_cycle = cycle;
-              SchedulerMetrics::Get().drift_retrains.Increment();
-              // Perturbed seeds (init and sampling) so the early retrain
-              // explores a different optimization path than the scheduled
-              // one did — with full-batch training the train seed alone
-              // would reproduce the incumbent weights exactly.
-              OfflineTrainingPipeline::Config retrain_cfg = offline_cfg;
-              const uint64_t salt =
-                  7919ULL * static_cast<uint64_t>(cycle + 1);
-              retrain_cfg.train.seed = config_.offline.train.seed + salt;
-              retrain_cfg.model.seed = config_.offline.model.seed + salt;
-              OfflineTrainingPipeline retrain_pipeline(retrain_cfg);
-              OfflineTrainingPipeline::RunReport retrain_report;
-              std::optional<Result<std::shared_ptr<core::GaiaModel>>>
-                  retrained;
-              std::thread retrain_thread([&] {
-                std::shared_ptr<util::CancelToken> token;
-                if (config_.train_deadline_ms > 0.0) {
-                  token = util::CancelToken::WithDeadline(
-                      config_.train_deadline_ms);
-                }
-                util::CancelScope scope(token.get());
-                retrained.emplace(
-                    retrain_pipeline.Run(*dataset, &retrain_report));
-              });
-              // Availability probe: the incumbent server answers the full
-              // client sweep while the retrain runs. Serve is const and
-              // thread-safe; InlineScope keeps the probe on the serial
-              // exact path so it never contends with the trainer for the
-              // pool — and the answers stay bitwise deterministic.
-              {
-                util::ThreadPool::InlineScope inline_scope;
-                for (int32_t shop : clients) {
-                  const auto probe = server.Serve(shop, 0.0);
-                  ++report.during_retrain_requests;
-                  if (static_cast<int64_t>(probe.gmv.size()) ==
-                      dataset->horizon()) {
-                    ++report.during_retrain_answered;
-                  }
-                }
-              }
-              retrain_thread.join();
-
-              // Adopt: publish the fresh weights and hot-swap. Any failure
-              // leaves the incumbent serving (verify-then-swap all the way
-              // down), so the cycle stays served either way.
-              Status adopted =
-                  !retrained.has_value()
-                      ? Status::Internal("drift retrain produced no result")
-                      : (retrained->ok() ? Status::OK()
-                                         : retrained->status());
-              if (adopted.ok()) {
-                if (store.has_value()) {
-                  auto published = store->Publish(*retrained->value());
-                  adopted = published.ok() ? server.LoadCheckpoint(*store)
-                                           : published.status();
-                  if (published.ok()) {
-                    report.checkpoint_path = published.value();
-                  }
-                } else if (!offline_cfg.checkpoint_path.empty()) {
-                  // Legacy single-file mode: the pipeline already saved to
-                  // the configured path; hot-swap from it.
-                  adopted =
-                      server.LoadCheckpoint(offline_cfg.checkpoint_path);
-                } else {
-                  adopted = Status::FailedPrecondition(
-                      "drift retrain has no checkpoint path to publish to");
-                }
-              }
-              if (adopted.ok()) {
-                report.drift_retrained = true;
-                // Re-measure against the snapshot's ground truth: the
-                // post-retrain MAE is the cycle's real score, and is what
-                // enters the drift window below.
-                std::vector<std::vector<double>> post_forecasts;
-                post_forecasts.reserve(clients.size());
-                {
-                  util::ThreadPool::InlineScope inline_scope;
-                  for (int32_t shop : clients) {
-                    post_forecasts.push_back(server.Serve(shop, 0.0).gmv);
-                  }
-                }
-                report.post_retrain_mae =
-                    core::Evaluator::FromPredictions(
-                        "Gaia (cycle " + std::to_string(cycle) +
-                            " post-drift-retrain)",
-                        *dataset, clients, post_forecasts)
-                        .overall.mae;
-              } else {
-                fail_step(adopted);
-              }
-            }
-          }
-
           // Window update: rolled-back cycles are scored above but never
-          // pushed — their MAE measures stale weights, not the market. A
-          // drift-retrained cycle enters with its post-retrain MAE.
+          // pushed — their MAE measures stale weights, not the market.
           if (!report.rolled_back) {
-            drift_window_maes.push_back(
-                report.drift_retrained ? report.post_retrain_mae : mae);
+            drift_window_maes.push_back(mae);
             if (drift_window_maes.size() >
                 static_cast<size_t>(config_.drift_window_cycles)) {
               drift_window_maes.erase(drift_window_maes.begin());

@@ -40,18 +40,12 @@ class MonthlyScheduler {
     /// offline.checkpoint_path.
     std::string checkpoint_dir;
     int checkpoint_keep = 3;  ///< store history depth (checkpoint_dir mode)
-    /// Wall-clock budget for each cycle's offline retrain in milliseconds
-    /// (0 = none). Armed as a util::CancelToken around the pipeline run, so
-    /// an overrunning retrain aborts mid-epoch (at a parameter-consistent
-    /// point), publishes nothing, and the cycle serves the last good
-    /// checkpoint via the rollback path.
-    double train_deadline_ms = 0.0;
     /// Trailing window (in served cycles) for the online drift score: each
     /// cycle's forecast MAE is compared against the mean MAE of the last N
     /// healthy served cycles and the relative excess is exported as
     /// `gaia_drift_score`. Rolled-back cycles are scored but never enter
     /// the window (their MAE reflects stale weights, not the market).
-    /// <= 0 disables the tracker and the trigger below.
+    /// <= 0 disables the tracker.
     int drift_window_cycles = 3;
     /// Adversarial regime layered on every cycle's market snapshot (the
     /// same script replays against each month's redrawn population). An
@@ -60,19 +54,8 @@ class MonthlyScheduler {
     /// First cycle the regime applies to (earlier cycles generate plain
     /// markets). Lets a scenario script a regime *onset* mid-run — clean
     /// baseline cycles followed by the shock — which is what makes the
-    /// drift trigger below fire deterministically. 0 = every cycle.
+    /// drift score rise deterministically. 0 = every cycle.
     int regime_from_cycle = 0;
-    /// Drift-triggered early retrain: when a served cycle's drift_score
-    /// exceeds this threshold, the cycle immediately retrains on the same
-    /// snapshot and hot-swaps the result — serving every probe request from
-    /// the incumbent weights while the retrain runs, so Predict never fails
-    /// mid-retrain. <= 0 disables the trigger (the default; bitwise
-    /// identical to older builds).
-    double drift_trigger_threshold = 0.0;
-    /// Cycles that must pass after a drift retrain before another may fire;
-    /// triggers inside the window are counted as suppressed
-    /// (gaia_drift_retrains_suppressed_total) and do not retrain.
-    int drift_retrain_cooldown_cycles = 2;
   };
 
   struct CycleReport {
@@ -98,19 +81,6 @@ class MonthlyScheduler {
     /// The trailing-window mean MAE this cycle was scored against (0 when
     /// no baseline existed yet).
     double drift_baseline_mae = 0.0;
-    // --- drift-triggered retrain (threshold mode only) -----------------------
-    bool drift_triggered = false;   ///< score exceeded the trigger threshold
-    bool drift_suppressed = false;  ///< trigger landed in cooldown; no retrain
-    bool drift_retrained = false;   ///< early retrain completed and was adopted
-    /// Availability probe served concurrently with the early retrain: every
-    /// test shop is requested once against the incumbent weights.
-    int64_t during_retrain_requests = 0;
-    /// Of those, answers carrying a full-horizon forecast (the "Predict
-    /// never fails mid-retrain" invariant expects this to equal requests).
-    int64_t during_retrain_answered = 0;
-    /// Online MAE re-measured after the early retrain's weights were
-    /// adopted; this is what enters the drift window for the cycle.
-    double post_retrain_mae = 0.0;
   };
 
   explicit MonthlyScheduler(const Config& config) : config_(config) {}

@@ -58,14 +58,6 @@ ShardedServer::ShardedServer(
   GAIA_CHECK(dataset_ != nullptr);
   GAIA_CHECK_GE(config_.num_shards, 1);
   config_.max_batch = std::max(1, config_.max_batch);
-  // The tier owns its threading: honour the knob once here, then force the
-  // per-generation servers to leave the pool alone so an RCU publish can
-  // never resize it mid-serve.
-  if (config_.server.num_threads > 0) {
-    util::ThreadPool::SetGlobalThreads(config_.server.num_threads);
-  }
-  config_.server.num_threads = 0;
-  partitioner_ = graph::MakePartitioner(config_.partition, config_.num_shards);
 
   std::shared_ptr<const Generation> initial =
       MakeGeneration(std::move(model), 0);
@@ -203,7 +195,7 @@ std::future<ShardedServer::Prediction> ShardedServer::Submit(
   request->request_id = obs::NextRequestId();
   request->enqueued_at = std::chrono::steady_clock::now();
   std::future<Prediction> future = request->promise.get_future();
-  const int shard_index = partitioner_->ShardOf(shop);
+  const int shard_index = ShardOf(shop);
   Shard& shard = *shards_[static_cast<size_t>(shard_index)];
   if (stopped_.load(std::memory_order_acquire) ||
       !shard.queue->Push(std::move(request))) {

@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "graph/partitioner.h"
+#include "graph/hash_shard.h"
 #include "serving/model_server.h"
 #include "util/cancel.h"
 #include "util/mpmc_queue.h"
@@ -40,12 +40,7 @@ struct ShardedServerConfig {
   /// Bound of each shard's request queue; a full queue back-pressures
   /// Predict callers (Push blocks) instead of growing without limit.
   size_t queue_capacity = 1024;
-  /// How shops map to shards. Hash today; the Partitioner interface admits
-  /// community/METIS partitioning later without touching this tier.
-  graph::PartitionStrategy partition = graph::PartitionStrategy::kHash;
   /// Per-generation ModelServer config (ego sampling, deadlines, fallback).
-  /// num_threads is forced to 0 for the internal servers — the sharded tier
-  /// owns its threading (see class comment).
   ServerConfig server;
 };
 
@@ -144,7 +139,9 @@ class ShardedServer {
 
   int num_shards() const { return config_.num_shards; }
   /// Shard a shop's requests are routed to (stable across processes).
-  int ShardOf(int32_t shop) const { return partitioner_->ShardOf(shop); }
+  int ShardOf(int32_t shop) const {
+    return graph::HashShard(shop, config_.num_shards);
+  }
   /// Requests answered since construction (all paths, all shards).
   int64_t total_requests() const {
     return total_requests_.load(std::memory_order_relaxed);
@@ -236,7 +233,6 @@ class ShardedServer {
 
   ShardedServerConfig config_;
   std::shared_ptr<const data::ForecastDataset> dataset_;
-  std::unique_ptr<graph::Partitioner> partitioner_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::mutex publish_mu_;  ///< serializes LoadCheckpoint publishers
   /// Band table stamped onto every generation built after installation.

@@ -5,9 +5,10 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
-#include "graph/partitioner.h"
+#include "graph/hash_shard.h"
 
 namespace gaia::graph {
 namespace {
@@ -196,30 +197,23 @@ TEST_F(EgoTest, IsolatedCenterYieldsSingleton) {
 }
 
 // ---------------------------------------------------------------------------
-// Partitioner (the sharded serving tier's shop -> shard map)
+// HashShard (the sharded serving tier's shop -> shard map)
 // ---------------------------------------------------------------------------
 
 TEST(PartitionerTest, ShardAssignmentIsStableAndInRange) {
-  HashPartitioner partitioner(4);
   for (int32_t node = 0; node < 1000; ++node) {
-    const int shard = partitioner.ShardOf(node);
+    const int shard = HashShard(node, 4);
     EXPECT_GE(shard, 0);
     EXPECT_LT(shard, 4);
     // Pure function of the node id: the routing contract the sharded
     // server (and any future cross-process router) relies on.
-    EXPECT_EQ(shard, partitioner.ShardOf(node));
-  }
-  // A second instance with the same K agrees — no per-instance state.
-  HashPartitioner other(4);
-  for (int32_t node = 0; node < 1000; ++node) {
-    EXPECT_EQ(partitioner.ShardOf(node), other.ShardOf(node));
+    EXPECT_EQ(shard, HashShard(node, 4));
   }
 }
 
 TEST(PartitionerTest, SingleShardMapsEverythingToZero) {
-  HashPartitioner partitioner(1);
   for (int32_t node : {0, 1, 63, 100000}) {
-    EXPECT_EQ(partitioner.ShardOf(node), 0);
+    EXPECT_EQ(HashShard(node, 1), 0);
   }
 }
 
@@ -228,10 +222,11 @@ TEST(PartitionerTest, HashSpreadsDenseIdsRoughlyEvenly) {
   // must not pile onto few shards; the splitmix64 mix should keep every
   // shard within a loose factor of the ideal share.
   constexpr int kShards = 8;
-  constexpr int64_t kNodes = 8000;
-  HashPartitioner partitioner(kShards);
-  const std::vector<int64_t> sizes = ShardSizes(partitioner, kNodes);
-  ASSERT_EQ(sizes.size(), static_cast<size_t>(kShards));
+  constexpr int32_t kNodes = 8000;
+  std::vector<int64_t> sizes(kShards, 0);
+  for (int32_t v = 0; v < kNodes; ++v) {
+    ++sizes[static_cast<size_t>(HashShard(v, kShards))];
+  }
   const int64_t ideal = kNodes / kShards;
   int64_t total = 0;
   for (int64_t size : sizes) {
@@ -242,15 +237,26 @@ TEST(PartitionerTest, HashSpreadsDenseIdsRoughlyEvenly) {
   EXPECT_EQ(total, kNodes);  // a partition: every node in exactly one shard
 }
 
-TEST(PartitionerTest, FactorySelectsStrategy) {
-  const std::unique_ptr<Partitioner> p =
-      MakePartitioner(PartitionStrategy::kHash, 3);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->num_shards(), 3);
-  EXPECT_EQ(p->name(), "hash");
-  const HashPartitioner direct(3);
+TEST(PartitionerTest, AssignmentIsPinned) {
+  // Shards of nodes 0..255, one digit per node, as the tier has always
+  // routed them. A change to the hash would silently move shops between
+  // shards and change what every per-shard metric series counts.
+  const std::string kThreeShards =
+      "1210122011100122201001210011122010202202101101002001210021200201"
+      "1000100000101012022102002211102100022000121220022100101211211211"
+      "2011121001101222010221201122212000122121100102201122001121211000"
+      "0220002211120102101001011101201002120211012212100122012012200012";
+  const std::string kFourShards =
+      "3121220320213321332003220122002210133300211032313030221031203121"
+      "3110233323302103310120123222333011130300232002312010121322031230"
+      "2130302213231013031030012030120302100331112202103103011322032111"
+      "0101312110021003001312110331033213102332331230312012110302012110";
+  ASSERT_EQ(kThreeShards.size(), 256u);
+  ASSERT_EQ(kFourShards.size(), 256u);
   for (int32_t node = 0; node < 256; ++node) {
-    EXPECT_EQ(p->ShardOf(node), direct.ShardOf(node));
+    const auto i = static_cast<size_t>(node);
+    EXPECT_EQ(HashShard(node, 3), kThreeShards[i] - '0') << "node " << node;
+    EXPECT_EQ(HashShard(node, 4), kFourShards[i] - '0') << "node " << node;
   }
 }
 

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
+#include <numeric>
+#include <vector>
 
 #include "baselines/zoo.h"
 #include "core/evaluator.h"
@@ -12,6 +15,7 @@
 #include "core/trainer.h"
 #include "data/market_io.h"
 #include "data/market_simulator.h"
+#include "graph/eseller_graph.h"
 #include "serving/model_server.h"
 
 namespace gaia {
@@ -49,18 +53,27 @@ class IntegrationTest : public ::testing::Test {
 };
 
 TEST_F(IntegrationTest, EgoForwardIsExactWithFullFanoutAndEnoughHops) {
-  // Message passing reaches exactly L hops, so an unsampled L-hop ego
-  // subgraph must reproduce the full-graph prediction bit for bit.
+  // Message passing reaches exactly L hops, so the serving path's unsampled
+  // L-hop ego subgraph must reproduce the full-graph prediction bit for bit,
+  // for every shop.
   auto model = MakeGaia(/*layers=*/2);
   Rng rng(1);
-  std::vector<int32_t> nodes = {0, 5, 11, 23};
+  std::vector<int32_t> nodes(static_cast<size_t>(dataset_->num_nodes()));
+  std::iota(nodes.begin(), nodes.end(), 0);
   auto full = model->PredictNodes(*dataset_, nodes, false, &rng);
-  auto ego = model->PredictNodesViaEgo(*dataset_, nodes, /*num_hops=*/2,
-                                       /*max_fanout=*/0, &rng);
-  ASSERT_EQ(full.size(), ego.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    EXPECT_TRUE(AllClose(full[i]->value, ego[i]->value, 1e-5f))
-        << "node " << nodes[i];
+  ASSERT_EQ(full.size(), nodes.size());
+  for (int32_t v : nodes) {
+    const graph::EgoSubgraph ego = graph::ExtractEgoSubgraph(
+        dataset_->graph(), v, /*num_hops=*/2, /*max_fanout=*/0, &rng);
+    auto pred = model->PredictEgo(*dataset_, ego);
+    ASSERT_TRUE(pred.ok()) << pred.status().ToString();
+    const Tensor& expected = full[static_cast<size_t>(v)]->value;
+    ASSERT_EQ(pred.value().shape(), expected.shape()) << "node " << v;
+    EXPECT_EQ(std::memcmp(pred.value().data(), expected.data(),
+                          sizeof(float) *
+                              static_cast<size_t>(expected.size())),
+              0)
+        << "node " << v;
   }
 }
 
@@ -73,29 +86,16 @@ TEST_F(IntegrationTest, UndersizedEgoDeviatesFromFullGraph) {
   for (int32_t v = 0; v < 30; ++v) {
     if (dataset_->graph().InDegree(v) == 0) continue;
     auto full = model->PredictNodes(*dataset_, {v}, false, &rng);
-    auto ego = model->PredictNodesViaEgo(*dataset_, {v}, /*num_hops=*/1,
-                                         /*max_fanout=*/0, &rng);
-    if (!AllClose(full[0]->value, ego[0]->value, 1e-6f)) {
+    const graph::EgoSubgraph ego = graph::ExtractEgoSubgraph(
+        dataset_->graph(), v, /*num_hops=*/1, /*max_fanout=*/0, &rng);
+    auto pred = model->PredictEgo(*dataset_, ego);
+    ASSERT_TRUE(pred.ok()) << pred.status().ToString();
+    if (!AllClose(full[0]->value, pred.value(), 1e-6f)) {
       any_different = true;
       break;
     }
   }
   EXPECT_TRUE(any_different);
-}
-
-TEST_F(IntegrationTest, EgoBatchTrainingReducesLoss) {
-  auto inner = MakeGaia(/*layers=*/1);
-  core::EgoSamplingGaia model(inner, /*num_hops=*/1, /*train_fanout=*/4);
-  EXPECT_EQ(model.name(), "Gaia (ego-batch)");
-  // Adapter exposes the inner parameters for the optimizer.
-  EXPECT_EQ(model.ParameterCount(), inner->ParameterCount());
-  core::TrainConfig tc;
-  tc.max_epochs = 8;
-  tc.batch_nodes = 12;
-  tc.eval_every = 8;
-  tc.patience = 100;
-  core::TrainResult result = core::Trainer(tc).Fit(&model, *dataset_);
-  EXPECT_LT(result.final_train_loss, result.train_loss_history.front());
 }
 
 TEST_F(IntegrationTest, FullPipelineDeterminism) {

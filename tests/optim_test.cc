@@ -140,12 +140,6 @@ TEST(EarlyStoppingTest, MinDeltaCountsTinyImprovementsAsBad) {
 // Learning-rate schedules
 // ---------------------------------------------------------------------------
 
-TEST(LrScheduleTest, ConstantIsConstant) {
-  ConstantLr schedule(0.01f);
-  EXPECT_FLOAT_EQ(schedule.LearningRate(0, 100), 0.01f);
-  EXPECT_FLOAT_EQ(schedule.LearningRate(99, 100), 0.01f);
-}
-
 TEST(LrScheduleTest, CosineDecayEndpointsAndMonotonicity) {
   CosineDecayLr schedule(1.0f, 0.1f);
   EXPECT_FLOAT_EQ(schedule.LearningRate(0, 50), 1.0f);
@@ -161,23 +155,6 @@ TEST(LrScheduleTest, CosineDecayEndpointsAndMonotonicity) {
 TEST(LrScheduleTest, CosineDegenerateRunLength) {
   CosineDecayLr schedule(0.5f, 0.05f);
   EXPECT_FLOAT_EQ(schedule.LearningRate(0, 1), 0.5f);
-}
-
-TEST(LrScheduleTest, StepDecayDropsAtPeriods) {
-  StepDecayLr schedule(1.0f, 0.5f, 10);
-  EXPECT_FLOAT_EQ(schedule.LearningRate(0, 100), 1.0f);
-  EXPECT_FLOAT_EQ(schedule.LearningRate(9, 100), 1.0f);
-  EXPECT_FLOAT_EQ(schedule.LearningRate(10, 100), 0.5f);
-  EXPECT_FLOAT_EQ(schedule.LearningRate(25, 100), 0.25f);
-}
-
-TEST(LrScheduleTest, WarmupRampsLinearly) {
-  auto inner = std::make_shared<ConstantLr>(1.0f);
-  WarmupLr schedule(inner, 4);
-  EXPECT_FLOAT_EQ(schedule.LearningRate(0, 100), 0.25f);
-  EXPECT_FLOAT_EQ(schedule.LearningRate(1, 100), 0.5f);
-  EXPECT_FLOAT_EQ(schedule.LearningRate(3, 100), 1.0f);
-  EXPECT_FLOAT_EQ(schedule.LearningRate(50, 100), 1.0f);
 }
 
 }  // namespace

@@ -664,7 +664,7 @@ TEST_F(ShardedServingTest, PublishRefusedWhileAnotherHolderIsLive) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ShardedServingTest, PredictBatchFanoutRunsInlineWithOneThread) {
-  // Pins the documented ServerConfig::num_threads semantics: the fan-out is
+  // Pins the documented ModelServer::PredictBatch semantics: the fan-out is
   // one outer ParallelFor over the requests on the *global* pool, so with
   // GAIA_NUM_THREADS=1 (a 1-thread pool) no worker jobs are dispatched and
   // the whole sweep runs inline on the calling thread.

@@ -271,11 +271,11 @@ EOF
 fi
 
 if [[ "$job" == "scenario" || "$job" == "all" ]]; then
-  echo "=== Scenario: adversarial regimes + drift-triggered retraining ==="
+  echo "=== Scenario: adversarial regimes + online drift score ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build -j"$jobs"
   # The scripted scenario suite: regime grammar/determinism, shocked-market
-  # invariants, the drift trigger + cooldown closed loop, quantile bands.
+  # invariants, the drift score under a regime onset, quantile bands.
   ctest --test-dir build --output-on-failure -L scenario --no-tests=error -j"$jobs"
   # Randomized-regime chaos: a random adversarial script (demand shocks,
   # supplier cascades, festival shifts, cold-start floods) drawn from an

@@ -11,8 +11,9 @@
 //       "regime: ..." so any shocked market — e.g. one that failed a
 //       scenario test — can be re-dumped exactly for offline repro.
 //   gaia_cli train --market DIR --checkpoint FILE [--epochs N]
-//       [--channels C] [--layers L] [--metrics-out FILE]
+//       [--channels C] [--layers L] [--metrics-out FILE] [--verbose]
 //       Train Gaia on a market directory and publish a checkpoint.
+//       --verbose (no value) logs the loss at every validation.
 //   gaia_cli evaluate --market DIR --checkpoint FILE [--channels C]
 //       [--layers L]
 //       Evaluate a published checkpoint on the market's test split.
@@ -42,16 +43,23 @@
 // request EventLog. --admin-wait 1 parks the process after the replay until
 // GET /quitz arrives (CI scrapes the endpoints, then releases it).
 //
+// train, evaluate and serve also take --seed S (model init seed). Every
+// flag but --verbose takes one value. An unknown flag, a missing value or a
+// number with trailing junk ("--epochs 1O") is rejected with an error naming
+// the flag.
+//
 // Exit code 0 on success; a diagnostic on stderr otherwise.
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -73,15 +81,54 @@
 namespace gaia::cli {
 namespace {
 
-/// Minimal --flag value parser; flags are all optional strings.
+/// How a flag reads argv: a value of some type, or a bare switch.
+enum class FlagKind { kString, kInt, kDouble, kSwitch };
+
+struct FlagSpec {
+  const char* name;  ///< without the leading "--"
+  FlagKind kind;
+};
+
+/// Strict --flag parser over argv[2..]. Each subcommand names the flags it
+/// accepts; an unknown flag, a stray word, a value flag with no value after
+/// it, or a number that does not parse completely is an error naming the
+/// flag. Switches (--verbose) take no value.
 class Args {
  public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i + 1 < argc; i += 2) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) == 0) key = key.substr(2);
-      values_[key] = argv[i + 1];
+  static Result<Args> Parse(int argc, char** argv,
+                            const std::vector<FlagSpec>& accepted) {
+    Args args;
+    for (int i = 2; i < argc; ++i) {
+      const std::string word = argv[i];
+      if (word.rfind("--", 0) != 0) {
+        return Status::InvalidArgument("unexpected argument '" + word + "'");
+      }
+      const std::string key = word.substr(2);
+      auto spec = std::find_if(
+          accepted.begin(), accepted.end(),
+          [&key](const FlagSpec& flag) { return key == flag.name; });
+      if (spec == accepted.end()) {
+        return Status::InvalidArgument("unknown flag " + word + " for '" +
+                                       argv[1] + "'");
+      }
+      if (spec->kind == FlagKind::kSwitch) {
+        args.values_[key] = "";
+        continue;
+      }
+      if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
+        return Status::InvalidArgument("flag " + word + " requires a value");
+      }
+      const std::string value = argv[++i];
+      if ((spec->kind == FlagKind::kInt && !ParseFull<int64_t>(value)) ||
+          (spec->kind == FlagKind::kDouble && !ParseFull<double>(value))) {
+        return Status::InvalidArgument(
+            "flag " + word + " expects " +
+            (spec->kind == FlagKind::kInt ? "an integer" : "a number") +
+            ", got '" + value + "'");
+      }
+      args.values_[key] = value;
     }
+    return args;
   }
 
   std::string Get(const std::string& key, const std::string& fallback) const {
@@ -91,17 +138,29 @@ class Args {
 
   int64_t GetInt(const std::string& key, int64_t fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoll(it->second.c_str());
+    return it == values_.end() ? fallback
+                               : ParseFull<int64_t>(it->second).value();
   }
 
   double GetDouble(const std::string& key, double fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    return it == values_.end() ? fallback
+                               : ParseFull<double>(it->second).value();
   }
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
  private:
+  /// The number spelled by all of `text`, or nothing.
+  template <typename T>
+  static std::optional<T> ParseFull(const std::string& text) {
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || text.empty()) return std::nullopt;
+    return value;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -446,19 +505,63 @@ int Serve(const Args& args) {
   return 0;
 }
 
+std::vector<FlagSpec> Join(std::initializer_list<std::vector<FlagSpec>> parts) {
+  std::vector<FlagSpec> flags;
+  for (const auto& part : parts) {
+    flags.insert(flags.end(), part.begin(), part.end());
+  }
+  return flags;
+}
+
+/// A subcommand and the flags it reads; Args::Parse rejects all others.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<FlagSpec> flags;
+};
+
 int Main(int argc, char** argv) {
   if (argc < 2) {
     std::cerr << "usage: gaia_cli {simulate|train|evaluate|serve} "
-                 "[--flag value ...]\n";
+                 "[--flag value ...] [--verbose]\n";
     return 1;
   }
+  const std::vector<FlagSpec> model_flags = {
+      {"market", FlagKind::kString}, {"checkpoint", FlagKind::kString},
+      {"channels", FlagKind::kInt},  {"layers", FlagKind::kInt},
+      {"seed", FlagKind::kInt}};
+  const std::vector<FlagSpec> plane_flags = {{"metrics-out", FlagKind::kString},
+                                             {"admin-port", FlagKind::kInt},
+                                             {"admin-wait", FlagKind::kInt}};
+  const std::vector<Command> commands = {
+      {"simulate", Simulate,
+       {{"out", FlagKind::kString},
+        {"shops", FlagKind::kInt},
+        {"seed", FlagKind::kInt},
+        {"history", FlagKind::kInt},
+        {"regime", FlagKind::kString},
+        {"regime-seed", FlagKind::kInt}}},
+      {"train", Train,
+       Join({model_flags, plane_flags,
+             {{"epochs", FlagKind::kInt}, {"verbose", FlagKind::kSwitch}}})},
+      {"evaluate", Evaluate, model_flags},
+      {"serve", Serve,
+       Join({model_flags, plane_flags,
+             {{"requests", FlagKind::kInt},
+              {"deadline-ms", FlagKind::kDouble},
+              {"shards", FlagKind::kInt},
+              {"clients", FlagKind::kInt},
+              {"max-batch", FlagKind::kInt},
+              {"max-wait-us", FlagKind::kDouble}}})},
+  };
   const std::string command = argv[1];
-  Args args(argc, argv);
-  if (command == "simulate") return Simulate(args);
-  if (command == "train") return Train(args);
-  if (command == "evaluate") return Evaluate(args);
-  if (command == "serve") return Serve(args);
-  return Fail("unknown command: " + command);
+  const auto spec = std::find_if(
+      commands.begin(), commands.end(),
+      [&command](const Command& c) { return command == c.name; });
+  if (spec == commands.end()) return Fail("unknown command: " + command);
+  Result<Args> args = Args::Parse(argc, argv, spec->flags);
+  if (!args.ok()) return Fail(args.status().message());
+  return spec->run(args.value());
 }
 
 }  // namespace
