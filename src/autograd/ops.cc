@@ -1,29 +1,34 @@
 #include "autograd/ops.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
+#include "util/compiler.h"
 
 namespace gaia::autograd {
 
-namespace {
+bool RecordsTape(const std::vector<Var>& parents) {
+  if (InferenceScope::Active()) return false;
+  for (const Var& p : parents) {
+    GAIA_CHECK(p != nullptr);
+    if (p->requires_grad) return true;
+  }
+  return false;
+}
 
-/// Creates an op node; prunes the backward closure when no parent needs grad.
 Var MakeOp(Tensor value, std::vector<Var> parents,
            std::function<void(AutogradNode&)> backward_fn) {
   Var node = std::make_shared<AutogradNode>(std::move(value));
-  bool needs_grad = false;
-  for (const Var& p : parents) {
-    GAIA_CHECK(p != nullptr);
-    needs_grad = needs_grad || p->requires_grad;
-  }
-  if (needs_grad) {
+  if (RecordsTape(parents)) {
     node->requires_grad = true;
     node->parents = std::move(parents);
     node->backward_fn = std::move(backward_fn);
   }
   return node;
 }
+
+namespace {
 
 /// Accumulates into a parent only when it participates in the tape.
 void AddGrad(const Var& parent, const Tensor& delta) {
@@ -237,10 +242,11 @@ Var SliceCols(const Var& a, int64_t start, int64_t len) {
                   const Var& p = n.parents[0];
                   if (!p->requires_grad) return;
                   Tensor scatter(p->value.shape());
+                  const int64_t cols = scatter.dim(1);
                   for (int64_t i = 0; i < n.grad.dim(0); ++i) {
-                    for (int64_t j = 0; j < len; ++j) {
-                      scatter.at(i, start + j) = n.grad.at(i, j);
-                    }
+                    const float* src = n.grad.data() + i * len;
+                    std::copy(src, src + len,
+                              scatter.data() + i * cols + start);
                   }
                   p->AccumulateGrad(scatter);
                 });
@@ -248,15 +254,12 @@ Var SliceCols(const Var& a, int64_t start, int64_t len) {
 
 Var SliceRows(const Var& a, int64_t start, int64_t len) {
   return MakeOp(gaia::SliceRows(a->value, start, len), {a},
-                [start, len](AutogradNode& n) {
+                [start](AutogradNode& n) {
                   const Var& p = n.parents[0];
                   if (!p->requires_grad) return;
                   Tensor scatter(p->value.shape());
-                  for (int64_t i = 0; i < len; ++i) {
-                    for (int64_t j = 0; j < n.grad.dim(1); ++j) {
-                      scatter.at(start + i, j) = n.grad.at(i, j);
-                    }
-                  }
+                  std::copy(n.grad.data(), n.grad.data() + n.grad.size(),
+                            scatter.data() + start * scatter.dim(1));
                   p->AccumulateGrad(scatter);
                 });
 }
@@ -327,30 +330,114 @@ Var AddRowVector(const Var& a, const Var& v) {
                 });
 }
 
+Var AddRowsTiled(const Var& a, const Var& b) {
+  GAIA_CHECK_EQ(a->value.ndim(), 2);
+  GAIA_CHECK_EQ(b->value.ndim(), 2);
+  const int64_t period = b->value.dim(0), cols = b->value.dim(1);
+  GAIA_CHECK_EQ(a->value.dim(1), cols);
+  GAIA_CHECK_EQ(a->value.dim(0) % period, 0);
+  const int64_t block = period * cols;
+  const int64_t blocks = a->value.dim(0) / period;
+  Tensor out = a->value;
+  for (int64_t n = 0; n < blocks; ++n) {
+    float* GAIA_RESTRICT po = out.data() + n * block;
+    const float* GAIA_RESTRICT pb = b->value.data();
+    for (int64_t i = 0; i < block; ++i) po[i] += pb[i];
+  }
+  return MakeOp(std::move(out), {a, b}, [blocks, block](AutogradNode& n) {
+    AddGrad(n.parents[0], n.grad);
+    const Var& b = n.parents[1];
+    if (!b->requires_grad) return;
+    Tensor db(b->value.shape());
+    for (int64_t blk = 0; blk < blocks; ++blk) {
+      const float* GAIA_RESTRICT pg = n.grad.data() + blk * block;
+      float* GAIA_RESTRICT pd = db.data();
+      for (int64_t i = 0; i < block; ++i) pd[i] += pg[i];
+    }
+    b->AccumulateGrad(db);
+  });
+}
+
+Var GatherRowBlocks(const Var& a, const std::vector<int32_t>& blocks,
+                    int64_t block_rows) {
+  GAIA_CHECK_EQ(a->value.ndim(), 2);
+  const int64_t block = block_rows * a->value.dim(1);
+  const int64_t num_blocks = a->value.dim(0) / block_rows;
+  GAIA_CHECK_EQ(num_blocks * block_rows, a->value.dim(0));
+  Tensor out({static_cast<int64_t>(blocks.size()) * block_rows,
+              a->value.dim(1)});
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    GAIA_CHECK(blocks[i] >= 0 && blocks[i] < num_blocks);
+    const float* src = a->value.data() + blocks[i] * block;
+    std::copy(src, src + block, out.data() + static_cast<int64_t>(i) * block);
+  }
+  return MakeOp(std::move(out), {a}, [blocks, block](AutogradNode& n) {
+    const Var& p = n.parents[0];
+    if (!p->requires_grad) return;
+    Tensor scatter(p->value.shape());
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      const float* GAIA_RESTRICT g =
+          n.grad.data() + static_cast<int64_t>(i) * block;
+      float* GAIA_RESTRICT d = scatter.data() + blocks[i] * block;
+      for (int64_t x = 0; x < block; ++x) d[x] += g[x];
+    }
+    p->AccumulateGrad(scatter);
+  });
+}
+
+Var RepeatRows(const Var& a, int64_t times) {
+  GAIA_CHECK_EQ(a->value.ndim(), 2);
+  GAIA_CHECK_GE(times, 1);
+  const int64_t rows = a->value.dim(0), cols = a->value.dim(1);
+  Tensor out({rows * times, cols});
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* src = a->value.data() + r * cols;
+    for (int64_t t = 0; t < times; ++t) {
+      std::copy(src, src + cols, out.data() + (r * times + t) * cols);
+    }
+  }
+  return MakeOp(std::move(out), {a}, [rows, cols, times](AutogradNode& n) {
+    const Var& p = n.parents[0];
+    if (!p->requires_grad) return;
+    Tensor da(p->value.shape());
+    for (int64_t r = 0; r < rows; ++r) {
+      float* GAIA_RESTRICT pd = da.data() + r * cols;
+      for (int64_t t = 0; t < times; ++t) {
+        const float* GAIA_RESTRICT pg = n.grad.data() + (r * times + t) * cols;
+        for (int64_t c = 0; c < cols; ++c) pd[c] += pg[c];
+      }
+    }
+    p->AccumulateGrad(da);
+  });
+}
+
 Var Conv1d(const Var& input, const Var& weight, const Var& bias, PadMode mode,
-           int64_t dilation) {
+           int64_t dilation, int64_t num_seqs) {
   static const Tensor kNoBias;
   const Tensor& bias_value = bias ? bias->value : kNoBias;
   // Validate through the Result-returning checker so every shape rule lives
   // in one place; a mismatch here is a model-construction bug, so abort with
   // the checker's message rather than threading Status through Var.
   Result<Tensor> out = gaia::Conv1dChecked(input->value, weight->value,
-                                           bias_value, mode, dilation);
+                                           bias_value, mode, dilation,
+                                           num_seqs);
   GAIA_CHECK(out.ok()) << out.status().ToString();
   std::vector<Var> parents = {input, weight};
   if (bias) parents.push_back(bias);
   const bool has_bias = bias != nullptr;
   return MakeOp(std::move(out).value(), std::move(parents),
-                [mode, dilation, has_bias](AutogradNode& n) {
+                [mode, dilation, num_seqs, has_bias](AutogradNode& n) {
                   const Var& in = n.parents[0];
                   const Var& w = n.parents[1];
                   if (in->requires_grad) {
                     in->AccumulateGrad(Conv1dBackwardInput(
-                        n.grad, w->value, in->value.dim(0), mode, dilation));
+                        n.grad, w->value, in->value.dim(0), mode, dilation,
+                        num_seqs));
                   }
                   if (w->requires_grad) {
                     w->AccumulateGrad(Conv1dBackwardWeight(
-                        n.grad, in->value, w->value.dim(1), mode, dilation));
+                        n.grad, in->value, w->value.dim(1), mode, dilation,
+                        num_seqs));
                   }
                   if (has_bias && n.parents[2]->requires_grad) {
                     n.parents[2]->AccumulateGrad(Conv1dBackwardBias(n.grad));

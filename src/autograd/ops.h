@@ -12,6 +12,18 @@ namespace gaia::autograd {
 // gradients to any parent with requires_grad. Shape preconditions mirror the
 // underlying tensor ops and abort on violation.
 
+/// Creates an op node holding `value`. It keeps `parents` and `backward_fn`
+/// only when some parent requires grad and no InferenceScope is active;
+/// otherwise it is a bare value node. Fused ops defined outside this file
+/// (the CAU and ITA-GCN kernels) build their nodes through it too.
+Var MakeOp(Tensor value, std::vector<Var> parents,
+           std::function<void(AutogradNode&)> backward_fn);
+
+/// True when an op over `parents` would record a tape node: some parent
+/// requires grad and no InferenceScope is active. Fused ops use it to skip
+/// saving what only their backward reads.
+bool RecordsTape(const std::vector<Var>& parents);
+
 // -- arithmetic -------------------------------------------------------------
 
 Var Add(const Var& a, const Var& b);            ///< Elementwise a + b.
@@ -76,11 +88,25 @@ Var SelectSpan(const Var& a, int64_t start, int64_t len);
 /// Adds 1-D var `v` (length C) to every row of 2-D var `a` ([R,C]).
 Var AddRowVector(const Var& a, const Var& v);
 
+/// Adds `b` ([P, C]) to every P-row block of `a` ([N*P, C]): a per-timestep
+/// bias applied to N node-stacked sequences of length P.
+Var AddRowsTiled(const Var& a, const Var& b);
+
+/// Row blocks `blocks[i]` of `a` ([N*R, C], block b = rows [b*R, (b+1)*R),
+/// R = `block_rows`) stacked in that order -> [|blocks|*R, C].
+Var GatherRowBlocks(const Var& a, const std::vector<int32_t>& blocks,
+                    int64_t block_rows);
+
+/// Repeats every row of `a` ([N, C]) `times` times -> [N*times, C]
+/// (one per-node row broadcast over that node's timesteps).
+Var RepeatRows(const Var& a, int64_t times);
+
 // -- convolution ----------------------------------------------------------------
 
-/// 1-D convolution along time. `bias` may be null. See tensor_ops Conv1d.
+/// 1-D convolution along time over `num_seqs` row-stacked sequences.
+/// `bias` may be null. See tensor_ops Conv1d.
 Var Conv1d(const Var& input, const Var& weight, const Var& bias, PadMode mode,
-           int64_t dilation = 1);
+           int64_t dilation = 1, int64_t num_seqs = 1);
 
 // -- normalization ----------------------------------------------------------------
 

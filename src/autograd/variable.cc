@@ -5,6 +5,7 @@
 
 #include "obs/obs.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace gaia::autograd {
 
@@ -95,5 +96,13 @@ void Backward(const Var& root) {
   GAIA_CHECK(root != nullptr);
   Backward(root, Tensor::Ones(root->value.shape()));
 }
+
+InferenceScope::InferenceScope() : previous_(util::TapeDisabled()) {
+  util::SetTapeDisabled(true);
+}
+
+InferenceScope::~InferenceScope() { util::SetTapeDisabled(previous_); }
+
+bool InferenceScope::Active() { return util::TapeDisabled(); }
 
 }  // namespace gaia::autograd

@@ -69,6 +69,29 @@ void Backward(const Var& root);
 /// Runs backpropagation with an explicit seed gradient (same shape as root).
 void Backward(const Var& root, const Tensor& seed);
 
+/// \brief RAII scope under which ops record no tape.
+///
+/// Inside the scope every op returns a bare value node: no parents, no
+/// backward closure, nothing captured, requires_grad false, so a forward
+/// that no Backward will read builds no graph. Values are computed by the
+/// same kernels, so they are bitwise those of a taped forward. The scope is
+/// thread-ambient and nests; ParallelFor workers re-install the submitting
+/// thread's setting for their chunks (see util::TapeDisabled), so ops built
+/// on pool threads honour it too.
+class InferenceScope {
+ public:
+  InferenceScope();
+  ~InferenceScope();
+  InferenceScope(const InferenceScope&) = delete;
+  InferenceScope& operator=(const InferenceScope&) = delete;
+
+  /// True when the calling thread is inside an InferenceScope.
+  static bool Active();
+
+ private:
+  bool previous_;
+};
+
 }  // namespace gaia::autograd
 
 #endif  // GAIA_AUTOGRAD_VARIABLE_H_

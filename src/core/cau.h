@@ -2,6 +2,7 @@
 #define GAIA_CORE_CAU_H_
 
 #include <memory>
+#include <vector>
 
 #include "nn/layers.h"
 #include "nn/module.h"
@@ -19,8 +20,9 @@ using autograd::Var;
 /// causal mask M forbidding rightward (future) attention.
 ///
 /// For efficiency the projections are exposed separately: in an ITA-GCN
-/// layer each node is projected once and each edge only pays the T x T
-/// attention. `Forward(h_u, h_v)` is the convenience composition.
+/// layer every node is projected once, in one node-batched call, and the
+/// T x T attention of every edge runs in one edge-batched call
+/// (AttendEdges). `Attend` and `Forward(h_u, h_v)` are its one-edge cases.
 ///
 /// Constructed with `dense_projections = true` and `causal = false` this
 /// degrades to the "traditional self-attention" of the w/o-ITA ablation.
@@ -33,17 +35,34 @@ class ConvAttentionUnit : public nn::Module {
                     bool causal = true, int64_t num_heads = 1);
 
   struct Projection {
-    Var q;  ///< [T, C]
-    Var k;  ///< [T, C]
-    Var v;  ///< [T, C]
+    Var q;  ///< [N*T, C]
+    Var k;  ///< [N*T, C]
+    Var v;  ///< [N*T, C]
   };
 
-  /// Projects one node's representation [T, C].
-  Projection Project(const Var& h) const;
+  /// Projects the representations of `num_nodes` nodes stacked along rows
+  /// ([N*T, C]; one node's [T, C] by default).
+  Projection Project(const Var& h, int64_t num_nodes = 1) const;
 
-  /// Attention for edge v -> u given projected tensors. When
-  /// `attention_out` is non-null the [T, T] attention weights are copied out
-  /// (Fig. 4 introspection).
+  /// The three projections one at a time (same layout as Project), for
+  /// callers that need queries and keys/values of different node sets.
+  Var Query(const Var& h, int64_t num_nodes = 1) const;
+  Var Key(const Var& h, int64_t num_nodes = 1) const;
+  Var Value(const Var& h, int64_t num_nodes = 1) const;
+
+  /// Attention for every edge e = src[e] -> dst[e] at once: the queries of
+  /// node dst[e] against the keys and values of node src[e] (dst == src is
+  /// the intra/self term). `q` holds the query nodes and `k`/`v` the source
+  /// nodes, each stacked [*, T] row blocks of C columns. Returns the
+  /// messages [E*T, C], edge e in rows [e*T, (e+1)*T). When `attention_out`
+  /// is non-null it receives each edge's [T, T] attention weights (the
+  /// head average when num_heads > 1; Fig. 4 introspection).
+  Var AttendEdges(const Var& q, const Var& k, const Var& v,
+                  const std::vector<int32_t>& dst,
+                  const std::vector<int32_t>& src, int64_t t_len,
+                  std::vector<Tensor>* attention_out = nullptr) const;
+
+  /// Attention for one edge v -> u given projected [T, C] tensors.
   Var Attend(const Var& q_u, const Var& k_v, const Var& v_v,
              Tensor* attention_out = nullptr) const;
 

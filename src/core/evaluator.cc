@@ -46,6 +46,7 @@ EvaluationReport Evaluator::Evaluate(ForecastModel* model,
                                      const data::ForecastDataset& dataset,
                                      const std::vector<int32_t>& nodes) {
   GAIA_CHECK(model != nullptr);
+  autograd::InferenceScope no_tape;
   Rng rng(0);
   std::vector<Var> preds =
       model->PredictNodes(dataset, nodes, /*training=*/false, &rng);

@@ -21,7 +21,14 @@ class FeatureFusionLayer : public nn::Module {
                      int64_t channels, Rng* rng);
 
   /// z: [T], f_temporal: [T, D^T], f_static: [D^S]  ->  S_v: [T, C].
+  /// The one-node case of ForwardNodes.
   Var Forward(const Var& z, const Var& f_temporal, const Var& f_static) const;
+
+  /// Node-batched form over N nodes stacked along rows: z [N*T],
+  /// f_temporal [N*T, D^T], f_static [N, D^S]  ->  S [N*T, C], node n in
+  /// rows [n*T, (n+1)*T). Each node's rows are bitwise its Forward output.
+  Var ForwardNodes(const Var& z, const Var& f_temporal,
+                   const Var& f_static) const;
 
   int64_t channels() const { return channels_; }
 

@@ -1,5 +1,8 @@
 #include "core/gaia_model.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "nn/init.h"
 #include "obs/obs.h"
 #include "util/cancel.h"
@@ -81,60 +84,135 @@ GaiaModel::GaiaModel(const GaiaConfig& config, int64_t t_len, int64_t horizon,
   head_bias_ = AddParameter("head_bias", Tensor::Ones({horizon}));
 }
 
-Var GaiaModel::EncodeNode(const NodeInput& input) const {
-  GAIA_CHECK(input.z != nullptr && input.temporal != nullptr &&
-             input.statics != nullptr);
-  Var z = ag::Constant(*input.z);
-  Var temporal = ag::Constant(*input.temporal);
-  Var statics = ag::Constant(*input.statics);
+Var GaiaModel::EncodeNodes(const std::vector<NodeInput>& inputs) const {
+  const auto n = static_cast<int64_t>(inputs.size());
+  const int64_t rows = n * t_len_;
+  // Stack the node features: z [N*T], F^T [N*T, D^T], f^S [N, D^S].
+  Tensor z({rows}), temporal({rows, d_temporal_}), statics({n, d_static_});
+  for (int64_t v = 0; v < n; ++v) {
+    const NodeInput& input = inputs[static_cast<size_t>(v)];
+    GAIA_CHECK(input.z != nullptr && input.temporal != nullptr &&
+               input.statics != nullptr);
+    GAIA_CHECK_EQ(input.z->size(), t_len_);
+    GAIA_CHECK_EQ(input.temporal->size(), t_len_ * d_temporal_);
+    GAIA_CHECK_EQ(input.statics->size(), d_static_);
+    const int64_t temporal_size = t_len_ * d_temporal_;
+    std::copy(input.z->data(), input.z->data() + t_len_, z.data() + v * t_len_);
+    std::copy(input.temporal->data(), input.temporal->data() + temporal_size,
+              temporal.data() + v * temporal_size);
+    std::copy(input.statics->data(), input.statics->data() + d_static_,
+              statics.data() + v * d_static_);
+  }
   Var fused;
   if (config_.use_ffl) {
-    fused = ffl_->Forward(z, temporal, statics);
+    fused = ffl_->ForwardNodes(ag::Constant(std::move(z)),
+                               ag::Constant(std::move(temporal)),
+                               ag::Constant(std::move(statics)));
   } else {
     // [z_t || f^T_t || f^S] -> shared linear, no per-timestep structure.
-    Var z_col = ag::Reshape(z, {t_len_, 1});
-    Var stat_rows = ag::MatMul(ag::Constant(Tensor::Ones({t_len_, 1})),
-                               ag::Reshape(statics, {1, d_static_}));
+    Var z_col = ag::Constant(z.Reshape({rows, 1}));
+    Var stat_rows = ag::RepeatRows(ag::Constant(std::move(statics)), t_len_);
     fused = plain_fusion_->Forward(
-        ag::ConcatCols({z_col, temporal, stat_rows}));
+        ag::ConcatCols({z_col, ag::Constant(std::move(temporal)), stat_rows}));
   }
-  return tel_->Forward(fused);
+  return tel_->Forward(fused, n);
 }
+
+namespace {
+
+/// `nodes` plus all their in-neighbours, ascending and deduplicated: the
+/// inputs one ITA-GCN layer needs to produce `nodes`.
+std::vector<int32_t> WithInNeighbors(const graph::EsellerGraph& graph,
+                                     const std::vector<int32_t>& nodes) {
+  std::vector<char> keep(static_cast<size_t>(graph.num_nodes()), 0);
+  for (int32_t u : nodes) {
+    keep[static_cast<size_t>(u)] = 1;
+    for (const graph::Neighbor& nb : graph.InNeighbors(u)) {
+      keep[static_cast<size_t>(nb.node)] = 1;
+    }
+  }
+  std::vector<int32_t> out;
+  for (size_t v = 0; v < keep.size(); ++v) {
+    if (keep[v]) out.push_back(static_cast<int32_t>(v));
+  }
+  return out;
+}
+
+std::vector<int32_t> AllNodes(int64_t n) {
+  std::vector<int32_t> nodes(static_cast<size_t>(n));
+  std::iota(nodes.begin(), nodes.end(), 0);
+  return nodes;
+}
+
+}  // namespace
 
 std::vector<Var> GaiaModel::ForwardGraph(const graph::EsellerGraph& graph,
                                          const std::vector<NodeInput>& inputs,
                                          ItaProbe* probe) const {
-  GAIA_OBS_SPAN("model.forward_graph");
-  GAIA_CHECK_EQ(static_cast<int64_t>(inputs.size()), graph.num_nodes());
-  std::vector<Var> embeddings;  // E_v from TEL
-  embeddings.reserve(inputs.size());
-  {
-    GAIA_OBS_SPAN("model.encode");
-    for (const NodeInput& input : inputs) {
-      if (util::CurrentCancelled()) return {};
-      embeddings.push_back(EncodeNode(input));
-    }
-  }
-  std::vector<Var> h = embeddings;
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    const bool is_last = l + 1 == layers_.size();
-    h = layers_[l]->Forward(graph, h, is_last ? probe : nullptr);
-    // A layer that observed the token returns {}; unwind without touching
-    // the partially built state.
-    if (h.size() != inputs.size()) return {};
-  }
-  // Prediction head with the TEL residual (Eq. 9).
-  GAIA_OBS_SPAN("model.head");
+  Var batched = ForwardGraphBatched(
+      graph, inputs, AllNodes(static_cast<int64_t>(inputs.size())), probe);
+  if (batched == nullptr) return {};
   std::vector<Var> predictions;
   predictions.reserve(inputs.size());
   for (size_t v = 0; v < inputs.size(); ++v) {
-    if (util::CurrentCancelled()) return {};
-    Var residual = ag::Add(h[v], embeddings[v]);          // [T, C]
-    Var pooled = head_conv_->Forward(residual);            // [T, 1]
-    Var row = ag::Reshape(pooled, {1, t_len_});            // [1, T]
-    Var out = ag::AddRowVector(ag::MatMul(row, head_weight_), head_bias_);
-    predictions.push_back(ag::Relu(ag::Reshape(out, {horizon_})));
+    predictions.push_back(ag::SelectRow(batched, static_cast<int64_t>(v)));
   }
+  return predictions;
+}
+
+Var GaiaModel::ForwardGraphBatched(const graph::EsellerGraph& graph,
+                                   const std::vector<NodeInput>& inputs,
+                                   const std::vector<int32_t>& outputs,
+                                   ItaProbe* probe) const {
+  GAIA_OBS_SPAN("model.forward_graph");
+  GAIA_CHECK_EQ(static_cast<int64_t>(inputs.size()), graph.num_nodes());
+  if (util::CurrentCancelled()) return nullptr;
+  // Receptive field: layer l reads the rows of need[l] and writes need[l+1].
+  const size_t num_layers = layers_.size();
+  std::vector<std::vector<int32_t>> need(num_layers + 1);
+  need[num_layers] = outputs;
+  for (size_t l = num_layers; l-- > 0;) {
+    need[l] = WithInNeighbors(graph, need[l + 1]);
+  }
+  Var embeddings;  // E from TEL, rows of need[0]
+  {
+    GAIA_OBS_SPAN("model.encode");
+    std::vector<NodeInput> encoded;
+    encoded.reserve(need[0].size());
+    for (int32_t v : need[0]) encoded.push_back(inputs[static_cast<size_t>(v)]);
+    embeddings = EncodeNodes(encoded);
+  }
+  Var h = embeddings;
+  for (size_t l = 0; l < num_layers; ++l) {
+    if (util::CurrentCancelled()) return nullptr;
+    const bool is_last = l + 1 == num_layers;
+    h = layers_[l]->ForwardNodes(graph, h, need[l], need[l + 1],
+                                 is_last ? probe : nullptr);
+    // A layer that observed the token returns null; unwind without
+    // touching the partially built state.
+    if (h == nullptr) return nullptr;
+  }
+  // Prediction head with the TEL residual (Eq. 9), on the output rows.
+  GAIA_OBS_SPAN("model.head");
+  if (util::CurrentCancelled()) return nullptr;
+  Var residual_embeddings = embeddings;
+  if (need[0] != outputs) {
+    std::vector<int32_t> rows;
+    rows.reserve(outputs.size());
+    for (int32_t v : outputs) {
+      rows.push_back(static_cast<int32_t>(
+          std::lower_bound(need[0].begin(), need[0].end(), v) -
+          need[0].begin()));
+    }
+    residual_embeddings = ag::GatherRowBlocks(embeddings, rows, t_len_);
+  }
+  const auto n = static_cast<int64_t>(outputs.size());
+  Var residual = ag::Add(h, residual_embeddings);       // [n*T, C]
+  Var pooled = head_conv_->Forward(residual, n);         // [n*T, 1]
+  Var rows = ag::Reshape(pooled, {n, t_len_});           // [n, T]
+  Var out = ag::AddRowVector(ag::MatMul(rows, head_weight_), head_bias_);
+  Var predictions = ag::Relu(out);                       // [n, T']
+  if (util::CurrentCancelled()) return nullptr;
   return predictions;
 }
 
@@ -142,20 +220,22 @@ std::vector<Var> GaiaModel::PredictNodes(const data::ForecastDataset& dataset,
                                          const std::vector<int32_t>& nodes,
                                          bool /*training*/, Rng* /*rng*/) {
   const auto n = static_cast<int32_t>(dataset.num_nodes());
+  for (int32_t v : nodes) {
+    GAIA_CHECK_GE(v, 0);
+    GAIA_CHECK_LT(v, n);
+  }
   std::vector<NodeInput> inputs(static_cast<size_t>(n));
   for (int32_t v = 0; v < n; ++v) {
     inputs[static_cast<size_t>(v)] =
         NodeInput{&dataset.z(v), &dataset.temporal(v),
                   &dataset.static_features(v)};
   }
-  std::vector<Var> all = ForwardGraph(dataset.graph(), inputs);
-  if (all.size() != inputs.size()) return {};  // cancelled mid-forward
+  Var batched = ForwardGraphBatched(dataset.graph(), inputs, nodes);
+  if (batched == nullptr) return {};  // cancelled mid-forward
   std::vector<Var> selected;
   selected.reserve(nodes.size());
-  for (int32_t v : nodes) {
-    GAIA_CHECK_GE(v, 0);
-    GAIA_CHECK_LT(v, n);
-    selected.push_back(all[static_cast<size_t>(v)]);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    selected.push_back(ag::SelectRow(batched, static_cast<int64_t>(i)));
   }
   return selected;
 }
@@ -181,11 +261,14 @@ Result<Tensor> GaiaModel::PredictEgo(const data::ForecastDataset& dataset,
                                &dataset.temporal(global_id),
                                &dataset.static_features(global_id)});
   }
-  std::vector<Var> preds = ForwardGraph(local.value(), inputs);
-  if (preds.size() != inputs.size()) {
+  ag::InferenceScope no_tape;
+  Var preds = ForwardGraphBatched(local.value(), inputs, {0});
+  if (preds == nullptr) {
     return Status::Cancelled("ego forward aborted by cancel token");
   }
-  return preds.front()->value;  // centre node is local id 0
+  // The centre node is local id 0, row 0.
+  const float* centre = preds->value.data();
+  return Tensor({horizon_}, std::vector<float>(centre, centre + horizon_));
 }
 
 ItaProbe GaiaModel::CollectAttention(
@@ -198,7 +281,8 @@ ItaProbe GaiaModel::CollectAttention(
                   &dataset.static_features(v)};
   }
   ItaProbe probe;
-  ForwardGraph(dataset.graph(), inputs, &probe);
+  ag::InferenceScope no_tape;
+  ForwardGraphBatched(dataset.graph(), inputs, AllNodes(n), &probe);
   return probe;
 }
 

@@ -65,6 +65,17 @@ class GaiaModel : public ForecastModel {
                                 const std::vector<NodeInput>& inputs,
                                 ItaProbe* probe = nullptr) const;
 
+  /// The same forward, node-batched end to end, for the nodes `outputs`
+  /// only: one [|outputs|, T'] var, row i = node outputs[i]. Every module
+  /// runs once per layer over the nodes that layer must produce — layer l
+  /// only over the outputs' (L - l)-hop receptive field — and a row's bits
+  /// do not depend on which other nodes share the batch. Null when the
+  /// ambient CancelToken fired mid-forward.
+  Var ForwardGraphBatched(const graph::EsellerGraph& graph,
+                          const std::vector<NodeInput>& inputs,
+                          const std::vector<int32_t>& outputs,
+                          ItaProbe* probe = nullptr) const;
+
   // ForecastModel:
   std::vector<Var> PredictNodes(const data::ForecastDataset& dataset,
                                 const std::vector<int32_t>& nodes,
@@ -72,14 +83,15 @@ class GaiaModel : public ForecastModel {
   std::string name() const override;
 
   /// Serving path: predicts the centre node of an ego subgraph (normalized
-  /// units), matching the online deployment of §VI. Returns
-  /// StatusCode::kCancelled when the ambient CancelToken aborts the forward
-  /// mid-flight (the server degrades such requests to the fallback).
+  /// units), matching the online deployment of §VI. Runs under an
+  /// autograd::InferenceScope (no tape). Returns StatusCode::kCancelled when
+  /// the ambient CancelToken aborts the forward mid-flight (the server
+  /// degrades such requests to the fallback).
   Result<Tensor> PredictEgo(const data::ForecastDataset& dataset,
                             const graph::EgoSubgraph& ego) const;
 
-  /// Runs a full-graph forward and returns the last layer's attention
-  /// records (Fig. 4 case study).
+  /// Runs a full-graph forward (no tape) and returns the last layer's
+  /// attention records (Fig. 4 case study).
   ItaProbe CollectAttention(const data::ForecastDataset& dataset) const;
 
   const GaiaConfig& config() const { return config_; }
@@ -88,8 +100,9 @@ class GaiaModel : public ForecastModel {
   GaiaModel(const GaiaConfig& config, int64_t t_len, int64_t horizon,
             int64_t d_temporal, int64_t d_static);
 
-  /// FFL/TEL node encoding (respecting the ablation switches).
-  Var EncodeNode(const NodeInput& input) const;
+  /// FFL/TEL encoding of all nodes at once (respecting the ablation
+  /// switches): [N*T, C], node n in rows [n*T, (n+1)*T).
+  Var EncodeNodes(const std::vector<NodeInput>& inputs) const;
 
   GaiaConfig config_;
   int64_t t_len_;

@@ -44,8 +44,23 @@ class ItaGcnLayer : public nn::Module {
   ItaGcnLayer(int64_t channels, int64_t t_len, Rng* rng, bool use_ita = true,
               bool causal_mask = true, int64_t cau_heads = 1);
 
-  /// Full-graph propagation: `h` holds one [T, C] var per node; returns the
-  /// next layer's representations in the same order.
+  /// Node-batched propagation. `h` stacks the [T, C] rows of the graph
+  /// nodes `in_nodes` (row block i = node in_nodes[i]); it must cover every
+  /// node of `out_nodes` and all their in-neighbours. Returns the layer's
+  /// output rows for `out_nodes`, stacked in that order ([|out|*T, C]).
+  /// Each module runs once over its nodes and the attention once over the
+  /// output nodes' edges (self terms included), so computing only the
+  /// outputs a caller needs costs only their receptive field; an output's
+  /// bits do not depend on which other nodes are computed with it. Returns
+  /// null when the ambient CancelToken fired mid-layer.
+  Var ForwardNodes(const graph::EsellerGraph& graph, const Var& h,
+                   const std::vector<int32_t>& in_nodes,
+                   const std::vector<int32_t>& out_nodes,
+                   ItaProbe* probe = nullptr) const;
+
+  /// Per-node form: `h` holds one [T, C] var per node; returns the next
+  /// layer's representations in the same order (stacks, runs ForwardNodes,
+  /// splits). Returns {} when the ambient CancelToken fired.
   std::vector<Var> Forward(const graph::EsellerGraph& graph,
                            const std::vector<Var>& h,
                            ItaProbe* probe = nullptr) const;

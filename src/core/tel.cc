@@ -41,7 +41,7 @@ TemporalEmbeddingLayer::TemporalEmbeddingLayer(int64_t channels,
   }
 }
 
-Var TemporalEmbeddingLayer::Forward(const Var& s) const {
+Var TemporalEmbeddingLayer::Forward(const Var& s, int64_t num_nodes) const {
   GAIA_OBS_SPAN("tel.forward");
   GAIA_CHECK_EQ(s->value.ndim(), 2);
   GAIA_CHECK_EQ(s->value.dim(1), channels_);
@@ -53,8 +53,12 @@ Var TemporalEmbeddingLayer::Forward(const Var& s) const {
   std::vector<Var> capture_parts, denoise_parts;
   capture_parts.reserve(capture_.size());
   denoise_parts.reserve(denoise_.size());
-  for (const auto& conv : capture_) capture_parts.push_back(conv->Forward(s));
-  for (const auto& conv : denoise_) denoise_parts.push_back(conv->Forward(s));
+  for (const auto& conv : capture_) {
+    capture_parts.push_back(conv->Forward(s, num_nodes));
+  }
+  for (const auto& conv : denoise_) {
+    denoise_parts.push_back(conv->Forward(s, num_nodes));
+  }
   Var s_capture = capture_parts.size() == 1 ? capture_parts[0]
                                             : ag::ConcatCols(capture_parts);
   Var s_denoise = denoise_parts.size() == 1 ? denoise_parts[0]

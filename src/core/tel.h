@@ -26,8 +26,10 @@ class TemporalEmbeddingLayer : public nn::Module {
   TemporalEmbeddingLayer(int64_t channels, int64_t num_groups, Rng* rng,
                          bool single_kernel = false);
 
-  /// S: [T, C] -> E: [T, C].
-  Var Forward(const Var& s) const;
+  /// S: [T, C] -> E: [T, C]. With `num_nodes` > 1, S holds that many
+  /// node sequences stacked along rows ([N*T, C]) and each bank runs once
+  /// over all of them; every node's rows are bitwise its one-node output.
+  Var Forward(const Var& s, int64_t num_nodes = 1) const;
 
   int64_t num_groups() const { return num_groups_; }
 

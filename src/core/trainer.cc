@@ -49,6 +49,8 @@ double Trainer::EvaluateMse(ForecastModel* model,
                             const std::vector<int32_t>& nodes) {
   GAIA_OBS_SPAN("trainer.eval");
   GAIA_CHECK(!nodes.empty());
+  // Evaluation never backpropagates: build no tape.
+  ag::InferenceScope no_tape;
   Rng rng(0);
   std::vector<Var> preds =
       model->PredictNodes(dataset, nodes, /*training=*/false, &rng);

@@ -37,8 +37,8 @@ Conv1dLayer::Conv1dLayer(int64_t c_in, int64_t c_out, int64_t kernel,
   }
 }
 
-Var Conv1dLayer::Forward(const Var& x) const {
-  return ag::Conv1d(x, weight_, bias_, mode_, dilation_);
+Var Conv1dLayer::Forward(const Var& x, int64_t num_seqs) const {
+  return ag::Conv1d(x, weight_, bias_, mode_, dilation_, num_seqs);
 }
 
 Var Dropout::Forward(const Var& x, bool training, Rng* rng) const {

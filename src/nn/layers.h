@@ -34,7 +34,9 @@ class Conv1dLayer : public Module {
   Conv1dLayer(int64_t c_in, int64_t c_out, int64_t kernel, PadMode mode,
               Rng* rng, int64_t dilation = 1, bool use_bias = true);
 
-  Var Forward(const Var& x) const;
+  /// x: [num_seqs*T, Cin], `num_seqs` independent row-stacked sequences
+  /// (one per graph node in the batched model forward).
+  Var Forward(const Var& x, int64_t num_seqs = 1) const;
 
   int64_t kernel() const { return kernel_; }
   int64_t dilation() const { return dilation_; }

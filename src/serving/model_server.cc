@@ -359,6 +359,8 @@ std::vector<ModelServer::Prediction> ModelServer::PredictBatch(
   // every answer bitwise identical to a standalone Predict of the same
   // shop, at any thread count.
   std::vector<Prediction> out(shops.size());
+  // No tape on any worker: the pool re-installs the scope on its threads.
+  autograd::InferenceScope no_tape;
   util::ParallelFor(static_cast<int64_t>(shops.size()), [&](int64_t i) {
     const auto idx = static_cast<size_t>(i);
     out[idx] = Serve(shops[idx], config_.deadline_ms);

@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
+
+#if defined(__AVX__)
+#include <immintrin.h>
+#endif
 
 #include "util/check.h"
 #include "util/compiler.h"
@@ -345,8 +350,10 @@ Tensor Transpose(const Tensor& a) {
   GAIA_CHECK_EQ(a.ndim(), 2);
   const int64_t m = a.dim(0), n = a.dim(1);
   Tensor out({n, m});
+  const float* GAIA_RESTRICT pa = a.data();
+  float* GAIA_RESTRICT po = out.data();
   for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) out.at(j, i) = a.at(i, j);
+    for (int64_t j = 0; j < n; ++j) po[j * m + i] = pa[i * n + j];
   }
   return out;
 }
@@ -389,29 +396,33 @@ Tensor Abs(const Tensor& a) {
   return Map(a, [](float v) { return std::fabs(v); });
 }
 
+void SoftmaxRowInPlace(float* row, int64_t cols) {
+  float row_max = kMaskNegInf;
+  for (int64_t j = 0; j < cols; ++j) row_max = std::max(row_max, row[j]);
+  if (row_max <= kMaskNegInf) {  // fully masked row -> zeros
+    std::fill(row, row + cols, 0.0f);
+    return;
+  }
+  double denom = 0.0;
+  for (int64_t j = 0; j < cols; ++j) {
+    const float e = row[j] <= kMaskNegInf ? 0.0f : std::exp(row[j] - row_max);
+    row[j] = e;
+    denom += e;
+  }
+  const float inv = static_cast<float>(1.0 / denom);
+  // Stride-1 scale; vectorizes lane-wise (no reassociation involved).
+  for (int64_t j = 0; j < cols; ++j) row[j] *= inv;
+}
+
 Tensor SoftmaxRows(const Tensor& logits) {
   GAIA_CHECK_EQ(logits.ndim(), 2);
   const int64_t rows = logits.dim(0), cols = logits.dim(1);
-  Tensor out({rows, cols});
-  const float* GAIA_RESTRICT pin = logits.data();
-  float* GAIA_RESTRICT pout = out.data();
+  Tensor out = logits;
+  float* pout = out.data();
   // exp dominates the per-row cost; weight it when sizing parallel chunks.
   ParallelRows(rows, cols * 8, [&](int64_t row_begin, int64_t row_end) {
     for (int64_t i = row_begin; i < row_end; ++i) {
-      const float* GAIA_RESTRICT in = pin + i * cols;
-      float* GAIA_RESTRICT po = pout + i * cols;
-      float row_max = kMaskNegInf;
-      for (int64_t j = 0; j < cols; ++j) row_max = std::max(row_max, in[j]);
-      if (row_max <= kMaskNegInf) continue;  // fully masked row -> zeros
-      double denom = 0.0;
-      for (int64_t j = 0; j < cols; ++j) {
-        float e = in[j] <= kMaskNegInf ? 0.0f : std::exp(in[j] - row_max);
-        po[j] = e;
-        denom += e;
-      }
-      const float inv = static_cast<float>(1.0 / denom);
-      // Stride-1 scale; vectorizes lane-wise (no reassociation involved).
-      for (int64_t j = 0; j < cols; ++j) po[j] *= inv;
+      SoftmaxRowInPlace(pout + i * cols, cols);
     }
   });
   return out;
@@ -445,8 +456,10 @@ Tensor SumAxis0(const Tensor& a) {
   GAIA_CHECK_EQ(a.ndim(), 2);
   const int64_t rows = a.dim(0), cols = a.dim(1);
   Tensor out({cols});
+  float* GAIA_RESTRICT po = out.data();
   for (int64_t i = 0; i < rows; ++i) {
-    for (int64_t j = 0; j < cols; ++j) out.at(j) += a.at(i, j);
+    const float* GAIA_RESTRICT row = a.data() + i * cols;
+    for (int64_t j = 0; j < cols; ++j) po[j] += row[j];
   }
   return out;
 }
@@ -468,8 +481,11 @@ Tensor AddRowVector(const Tensor& a, const Tensor& v) {
   GAIA_CHECK_EQ(v.ndim(), 1);
   GAIA_CHECK_EQ(a.dim(1), v.dim(0));
   Tensor out = a;
+  const int64_t cols = a.dim(1);
+  const float* GAIA_RESTRICT pv = v.data();
   for (int64_t i = 0; i < a.dim(0); ++i) {
-    for (int64_t j = 0; j < a.dim(1); ++j) out.at(i, j) += v.at(j);
+    float* GAIA_RESTRICT row = out.data() + i * cols;
+    for (int64_t j = 0; j < cols; ++j) row[j] += pv[j];
   }
   return out;
 }
@@ -499,7 +515,8 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
   for (const Tensor& p : parts) {
     const int64_t cols = p.dim(1);
     for (int64_t i = 0; i < rows; ++i) {
-      for (int64_t j = 0; j < cols; ++j) out.at(i, offset + j) = p.at(i, j);
+      const float* src = p.data() + i * cols;
+      std::copy(src, src + cols, out.data() + i * total_cols + offset);
     }
     offset += cols;
   }
@@ -516,12 +533,9 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
     total_rows += p.dim(0);
   }
   Tensor out({total_rows, cols});
-  int64_t offset = 0;
+  float* po = out.data();
   for (const Tensor& p : parts) {
-    for (int64_t i = 0; i < p.dim(0); ++i) {
-      for (int64_t j = 0; j < cols; ++j) out.at(offset + i, j) = p.at(i, j);
-    }
-    offset += p.dim(0);
+    po = std::copy(p.data(), p.data() + p.size(), po);
   }
   return out;
 }
@@ -531,8 +545,10 @@ Tensor SliceCols(const Tensor& a, int64_t start, int64_t len) {
   GAIA_CHECK_GE(start, 0);
   GAIA_CHECK_LE(start + len, a.dim(1));
   Tensor out({a.dim(0), len});
+  const int64_t cols = a.dim(1);
   for (int64_t i = 0; i < a.dim(0); ++i) {
-    for (int64_t j = 0; j < len; ++j) out.at(i, j) = a.at(i, start + j);
+    const float* src = a.data() + i * cols + start;
+    std::copy(src, src + len, out.data() + i * len);
   }
   return out;
 }
@@ -542,32 +558,116 @@ Tensor SliceRows(const Tensor& a, int64_t start, int64_t len) {
   GAIA_CHECK_GE(start, 0);
   GAIA_CHECK_LE(start + len, a.dim(0));
   Tensor out({len, a.dim(1)});
-  for (int64_t i = 0; i < len; ++i) {
-    for (int64_t j = 0; j < a.dim(1); ++j) out.at(i, j) = a.at(start + i, j);
-  }
+  const float* src = a.data() + start * a.dim(1);
+  std::copy(src, src + out.size(), out.data());
   return out;
 }
 
 namespace {
 
+/// Lane-per-sequence Conv1d (design notes in docs/PERFORMANCE.md).
+///
+/// The per-sequence kernel accumulates each output along one dependent
+/// chain of K*Cin double adds, so it is latency-bound. Here sequences sit in
+/// SIMD lanes instead: the input is transposed to [T][Cin][N] (N padded to
+/// the lane width with zeros) and each accumulator holds kLanes sequences'
+/// copies of one output. Every lane still runs the exact chain of the
+/// per-sequence kernel — bias, then float product, widened to double, added
+/// in ascending (tap, channel) order — so the output bits do not depend on
+/// how many sequences share the call. kTile independent accumulators, taken
+/// over the flattened (output channel, lane block) pairs, keep the adder
+/// pipeline full even for one sequence.
+typedef float LaneF __attribute__((vector_size(16)));
+typedef double LaneD __attribute__((vector_size(32)));
+constexpr int64_t kLanes = 4;
+constexpr int kTile = 4;  // the switch in Conv1dImpl covers 1..kTile
+
+/// Exact float -> double widening of the four lanes. GCC lowers the generic
+/// __builtin_convertvector to two 2-lane converts plus an insert; with AVX
+/// one vcvtps2pd does it.
+GAIA_ALWAYS_INLINE LaneD Widen(LaneF x) {
+#if defined(__AVX__)
+  return reinterpret_cast<LaneD>(_mm256_cvtps_pd(reinterpret_cast<__m128>(x)));
+#else
+  return __builtin_convertvector(x, LaneD);
+#endif
+}
+
+/// Thread-local lane-transposed input, reused across calls (workers read
+/// the caller's buffer in place; ParallelForRange blocks until they finish).
+thread_local std::vector<float> tl_conv_lanes;
+
+/// Per-accumulator operands of one tile: the lane block it reads and the
+/// weight row (tap k_lo) it multiplies by.
+struct ConvTileSlot {
+  const float* in;  ///< lanes at [s0][0][block * kLanes]
+  const float* w;   ///< weight[o][k_lo][0]
+  double bias;
+  float* out;       ///< out row of sequence block*kLanes at (t, o)
+};
+
+template <int G>
+GAIA_ALWAYS_INLINE void ConvTile(const ConvTileSlot* slot, int64_t taps,
+                                 int64_t tap_stride, int64_t c_in,
+                                 int64_t padded, int64_t lanes_valid[],
+                                 int64_t out_stride) {
+  LaneD acc[G];
+  for (int i = 0; i < G; ++i) {
+    const double b = slot[i].bias;
+    acc[i] = LaneD{b, b, b, b};
+  }
+  for (int64_t k = 0; k < taps; ++k) {
+    for (int64_t c = 0; c < c_in; ++c) {
+      const int64_t at = k * tap_stride + c * padded;
+      for (int i = 0; i < G; ++i) {
+        LaneF x;
+        std::memcpy(&x, slot[i].in + at, sizeof(x));
+        const float w = slot[i].w[k * c_in + c];
+        const LaneF prod = x * LaneF{w, w, w, w};
+        acc[i] += Widen(prod);
+      }
+    }
+  }
+  for (int i = 0; i < G; ++i) {
+    for (int64_t l = 0; l < lanes_valid[i]; ++l) {
+      slot[i].out[l * out_stride] = static_cast<float>(acc[i][l]);
+    }
+  }
+}
+
 /// Shared Conv1d body; shape validity established by the caller (Conv1d via
 /// GAIA_CHECK, Conv1dChecked via Status). Per output position t the valid
-/// kernel-tap window [k_lo, k_hi) is hoisted out of the (o, k) loops — the
-/// old kernel re-derived s = t + k*dilation - left and bounds-checked it
-/// c_out * kernel times per position. The surviving taps run in the same
-/// ascending (k, c) order with the same float-multiply/double-accumulate
-/// expression, so outputs are bitwise unchanged.
+/// kernel-tap window [k_lo, k_hi) is hoisted out of the tap loop; only the
+/// surviving taps run.
 Tensor Conv1dImpl(const Tensor& input, const Tensor& weight, const Tensor& bias,
-                  PadMode mode, int64_t dilation) {
-  const int64_t t_len = input.dim(0), c_in = input.dim(1);
+                  PadMode mode, int64_t dilation, int64_t num_seqs) {
+  const int64_t c_in = input.dim(1);
+  const int64_t t_len = input.dim(0) / num_seqs;
   const int64_t c_out = weight.dim(0), kernel = weight.dim(1);
   const bool has_bias = !bias.empty();
   const int64_t left = PadLeft(kernel, mode, dilation);
-  Tensor out({t_len, c_out});
+  const int64_t blocks = CeilDiv(num_seqs, kLanes);
+  const int64_t padded = blocks * kLanes;
+  Tensor out({num_seqs * t_len, c_out});
+
+  std::vector<float>& lanes = tl_conv_lanes;
+  lanes.assign(static_cast<size_t>(t_len * c_in * padded), 0.0f);
   const float* GAIA_RESTRICT pin = input.data();
-  const float* GAIA_RESTRICT pw = weight.data();
-  float* GAIA_RESTRICT po = out.data();
-  ParallelRows(t_len, c_out * kernel * c_in,
+  for (int64_t n = 0; n < num_seqs; ++n) {
+    for (int64_t t = 0; t < t_len; ++t) {
+      const float* row = pin + (n * t_len + t) * c_in;
+      float* dst = lanes.data() + t * c_in * padded + n;
+      for (int64_t c = 0; c < c_in; ++c) dst[c * padded] = row[c];
+    }
+  }
+  const float* pl = lanes.data();
+  const float* pw = weight.data();
+  const float* pb = has_bias ? bias.data() : nullptr;
+  float* po = out.data();
+  const int64_t seq_stride = t_len * c_out;  // output rows between lanes
+  const int64_t tap_stride = dilation * c_in * padded;
+  const int64_t pairs = c_out * blocks;
+  ParallelRows(t_len, c_out * kernel * c_in * padded,
                [&](int64_t t_begin, int64_t t_end) {
     for (int64_t t = t_begin; t < t_end; ++t) {
       const int64_t k_lo =
@@ -575,15 +675,29 @@ Tensor Conv1dImpl(const Tensor& input, const Tensor& weight, const Tensor& bias,
       const int64_t k_hi =
           std::min(kernel, (t_len - 1 - t + left) / dilation + 1);
       const int64_t s0 = t + k_lo * dilation - left;
-      for (int64_t o = 0; o < c_out; ++o) {
-        double acc = has_bias ? bias.at(o) : 0.0;
-        int64_t s = s0;
-        for (int64_t k = k_lo; k < k_hi; ++k, s += dilation) {
-          const float* GAIA_RESTRICT in_row = pin + s * c_in;
-          const float* GAIA_RESTRICT w_row = pw + (o * kernel + k) * c_in;
-          for (int64_t c = 0; c < c_in; ++c) acc += in_row[c] * w_row[c];
+      const int64_t taps = k_hi - k_lo;
+      for (int64_t p0 = 0; p0 < pairs; p0 += kTile) {
+        const int g = static_cast<int>(std::min<int64_t>(kTile, pairs - p0));
+        ConvTileSlot slot[kTile];
+        int64_t valid[kTile];
+        for (int i = 0; i < g; ++i) {
+          const int64_t o = (p0 + i) / blocks, block = (p0 + i) % blocks;
+          slot[i].in = pl + s0 * c_in * padded + block * kLanes;
+          slot[i].w = pw + (o * kernel + k_lo) * c_in;
+          slot[i].bias = has_bias ? static_cast<double>(pb[o]) : 0.0;
+          slot[i].out = po + block * kLanes * seq_stride + t * c_out + o;
+          valid[i] = std::min(kLanes, num_seqs - block * kLanes);
         }
-        po[t * c_out + o] = static_cast<float>(acc);
+        switch (g) {
+          case 4: ConvTile<4>(slot, taps, tap_stride, c_in, padded, valid,
+                              seq_stride); break;
+          case 3: ConvTile<3>(slot, taps, tap_stride, c_in, padded, valid,
+                              seq_stride); break;
+          case 2: ConvTile<2>(slot, taps, tap_stride, c_in, padded, valid,
+                              seq_stride); break;
+          default: ConvTile<1>(slot, taps, tap_stride, c_in, padded, valid,
+                               seq_stride); break;
+        }
       }
     }
   });
@@ -593,10 +707,12 @@ Tensor Conv1dImpl(const Tensor& input, const Tensor& weight, const Tensor& bias,
 }  // namespace
 
 Tensor Conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
-              PadMode mode, int64_t dilation) {
+              PadMode mode, int64_t dilation, int64_t num_seqs) {
   GAIA_CHECK_EQ(input.ndim(), 2);
   GAIA_CHECK_EQ(weight.ndim(), 3);
   GAIA_CHECK_GE(dilation, 1);
+  GAIA_CHECK_GE(num_seqs, 1);
+  GAIA_CHECK_EQ(input.dim(0) % num_seqs, 0);
   GAIA_CHECK_EQ(weight.dim(2), input.dim(1))
       << "Conv1d channel mismatch: input " << input.ShapeString()
       << " weight " << weight.ShapeString();
@@ -604,12 +720,12 @@ Tensor Conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
     GAIA_CHECK_EQ(bias.ndim(), 1);
     GAIA_CHECK_EQ(bias.dim(0), weight.dim(0));
   }
-  return Conv1dImpl(input, weight, bias, mode, dilation);
+  return Conv1dImpl(input, weight, bias, mode, dilation, num_seqs);
 }
 
 Result<Tensor> Conv1dChecked(const Tensor& input, const Tensor& weight,
                              const Tensor& bias, PadMode mode,
-                             int64_t dilation) {
+                             int64_t dilation, int64_t num_seqs) {
   if (input.ndim() != 2) {
     return Status::InvalidArgument("Conv1d: input must be [T, Cin], got " +
                                    input.ShapeString());
@@ -621,6 +737,11 @@ Result<Tensor> Conv1dChecked(const Tensor& input, const Tensor& weight,
   if (dilation < 1) {
     return Status::InvalidArgument("Conv1d: dilation must be >= 1, got " +
                                    std::to_string(dilation));
+  }
+  if (num_seqs < 1 || input.dim(0) % num_seqs != 0) {
+    return Status::InvalidArgument(
+        "Conv1d: " + input.ShapeString() + " does not split into " +
+        std::to_string(num_seqs) + " equal sequences");
   }
   if (weight.dim(0) < 1 || weight.dim(1) < 1) {
     return Status::InvalidArgument("Conv1d: degenerate weight shape " +
@@ -637,69 +758,84 @@ Result<Tensor> Conv1dChecked(const Tensor& input, const Tensor& weight,
                                    bias.ShapeString() + " for weight " +
                                    weight.ShapeString());
   }
-  return Conv1dImpl(input, weight, bias, mode, dilation);
+  return Conv1dImpl(input, weight, bias, mode, dilation, num_seqs);
 }
 
 Tensor Conv1dBackwardInput(const Tensor& grad_out, const Tensor& weight,
-                           int64_t input_len, PadMode mode, int64_t dilation) {
+                           int64_t input_len, PadMode mode, int64_t dilation,
+                           int64_t num_seqs) {
   GAIA_CHECK_EQ(grad_out.ndim(), 2);
   GAIA_CHECK_EQ(weight.ndim(), 3);
-  const int64_t t_len = grad_out.dim(0), c_out = grad_out.dim(1);
+  const int64_t rows = grad_out.dim(0), c_out = grad_out.dim(1);
   const int64_t kernel = weight.dim(1), c_in = weight.dim(2);
   GAIA_CHECK_EQ(weight.dim(0), c_out);
-  GAIA_CHECK_EQ(t_len, input_len) << "Conv1d preserves length";
+  GAIA_CHECK_EQ(rows, input_len) << "Conv1d preserves length";
+  GAIA_CHECK_EQ(rows % num_seqs, 0);
+  const int64_t t_len = rows / num_seqs;
   const int64_t left = PadLeft(kernel, mode, dilation);
   Tensor grad_in({input_len, c_in});
-  for (int64_t t = 0; t < t_len; ++t) {
-    // Same hoisted tap window as the forward kernel; surviving (o, k, c)
-    // iterations run in the original order, so gradients are bitwise
-    // unchanged.
-    const int64_t k_lo = left > t ? (left - t + dilation - 1) / dilation : 0;
-    const int64_t k_hi =
-        std::min(kernel, (input_len - 1 - t + left) / dilation + 1);
-    const int64_t s0 = t + k_lo * dilation - left;
-    for (int64_t o = 0; o < c_out; ++o) {
-      const float g = grad_out.at(t, o);
-      if (g == 0.0f) continue;
-      int64_t s = s0;
-      for (int64_t k = k_lo; k < k_hi; ++k, s += dilation) {
-        float* GAIA_RESTRICT gi_row = grad_in.data() + s * c_in;
-        const float* GAIA_RESTRICT w_row =
-            weight.data() + (o * kernel + k) * c_in;
-        for (int64_t c = 0; c < c_in; ++c) gi_row[c] += g * w_row[c];
+  // Sequences write disjoint row blocks, so they fan out freely.
+  util::ParallelFor(num_seqs, [&](int64_t n) {
+    const float* GAIA_RESTRICT go = grad_out.data() + n * t_len * c_out;
+    float* gi = grad_in.data() + n * t_len * c_in;
+    for (int64_t t = 0; t < t_len; ++t) {
+      // Same hoisted tap window as the forward kernel.
+      const int64_t k_lo =
+          left > t ? (left - t + dilation - 1) / dilation : 0;
+      const int64_t k_hi =
+          std::min(kernel, (t_len - 1 - t + left) / dilation + 1);
+      const int64_t s0 = t + k_lo * dilation - left;
+      for (int64_t o = 0; o < c_out; ++o) {
+        const float g = go[t * c_out + o];
+        if (g == 0.0f) continue;
+        int64_t s = s0;
+        for (int64_t k = k_lo; k < k_hi; ++k, s += dilation) {
+          float* GAIA_RESTRICT gi_row = gi + s * c_in;
+          const float* GAIA_RESTRICT w_row =
+              weight.data() + (o * kernel + k) * c_in;
+          for (int64_t c = 0; c < c_in; ++c) gi_row[c] += g * w_row[c];
+        }
       }
     }
-  }
+  });
   return grad_in;
 }
 
 Tensor Conv1dBackwardWeight(const Tensor& grad_out, const Tensor& input,
                             int64_t kernel_size, PadMode mode,
-                            int64_t dilation) {
+                            int64_t dilation, int64_t num_seqs) {
   GAIA_CHECK_EQ(grad_out.ndim(), 2);
   GAIA_CHECK_EQ(input.ndim(), 2);
-  const int64_t t_len = grad_out.dim(0), c_out = grad_out.dim(1);
+  const int64_t rows = grad_out.dim(0), c_out = grad_out.dim(1);
   const int64_t c_in = input.dim(1);
-  GAIA_CHECK_EQ(input.dim(0), t_len);
+  GAIA_CHECK_EQ(input.dim(0), rows);
+  GAIA_CHECK_EQ(rows % num_seqs, 0);
+  const int64_t t_len = rows / num_seqs;
   const int64_t left = PadLeft(kernel_size, mode, dilation);
   Tensor grad_w({c_out, kernel_size, c_in});
-  for (int64_t t = 0; t < t_len; ++t) {
-    const int64_t k_lo = left > t ? (left - t + dilation - 1) / dilation : 0;
-    const int64_t k_hi =
-        std::min(kernel_size, (t_len - 1 - t + left) / dilation + 1);
-    const int64_t s0 = t + k_lo * dilation - left;
-    for (int64_t o = 0; o < c_out; ++o) {
-      const float g = grad_out.at(t, o);
-      if (g == 0.0f) continue;
-      int64_t s = s0;
-      for (int64_t k = k_lo; k < k_hi; ++k, s += dilation) {
-        const float* GAIA_RESTRICT in_row = input.data() + s * c_in;
-        float* GAIA_RESTRICT gw_row =
-            grad_w.data() + (o * kernel_size + k) * c_in;
-        for (int64_t c = 0; c < c_in; ++c) gw_row[c] += g * in_row[c];
+  // One task per output channel; each sums its slice over sequences and
+  // timesteps in a fixed order, so the result is thread-count invariant.
+  util::ParallelFor(c_out, [&](int64_t o) {
+    for (int64_t n = 0; n < num_seqs; ++n) {
+      const float* go = grad_out.data() + n * t_len * c_out;
+      const float* in = input.data() + n * t_len * c_in;
+      for (int64_t t = 0; t < t_len; ++t) {
+        const float g = go[t * c_out + o];
+        if (g == 0.0f) continue;
+        const int64_t k_lo =
+            left > t ? (left - t + dilation - 1) / dilation : 0;
+        const int64_t k_hi =
+            std::min(kernel_size, (t_len - 1 - t + left) / dilation + 1);
+        int64_t s = t + k_lo * dilation - left;
+        for (int64_t k = k_lo; k < k_hi; ++k, s += dilation) {
+          const float* GAIA_RESTRICT in_row = in + s * c_in;
+          float* GAIA_RESTRICT gw_row =
+              grad_w.data() + (o * kernel_size + k) * c_in;
+          for (int64_t c = 0; c < c_in; ++c) gw_row[c] += g * in_row[c];
+        }
       }
     }
-  }
+  });
   return grad_w;
 }
 

@@ -71,6 +71,10 @@ Tensor Abs(const Tensor& a);
 /// zeros (callers that mask whole rows must handle that themselves).
 Tensor SoftmaxRows(const Tensor& logits);
 
+/// SoftmaxRows' kernel for one row, in place on `cols` contiguous logits.
+/// Fused ops whose softmax must match SoftmaxRows bit for bit call it.
+void SoftmaxRowInPlace(float* row, int64_t cols);
+
 /// Gradient of SoftmaxRows: given y = SoftmaxRows(x) and dL/dy, returns dL/dx.
 Tensor SoftmaxRowsBackward(const Tensor& y, const Tensor& dy);
 
@@ -122,27 +126,35 @@ enum class PadMode { kSame, kCausal };
 /// [Cout] (pass an empty tensor to skip), output [T, Cout]. `dilation`
 /// spaces kernel taps (2^k dilations give the TEL multi-scale receptive
 /// fields). Output length always equals input length.
+///
+/// `num_seqs` > 1 convolves that many independent sequences stacked along
+/// rows (input [num_seqs*T, Cin], sequence n in rows [n*T, (n+1)*T)); taps
+/// never cross a sequence boundary. The kernel runs one sequence per SIMD
+/// lane, and every output is the same float-multiply/double-accumulate
+/// chain in ascending (tap, channel) order whatever `num_seqs` is, so a
+/// sequence's output bits do not depend on what it is batched with.
 Tensor Conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
-              PadMode mode, int64_t dilation = 1);
+              PadMode mode, int64_t dilation = 1, int64_t num_seqs = 1);
 
 /// Validated Conv1d: returns kInvalidArgument on any shape mismatch
-/// (rank, channel count, bias length, non-positive kernel/dilation) instead
-/// of aborting — the single source of truth for Conv1d shape rules (the
-/// checked autograd path routes through it, so a mismatched weight can
-/// never silently drop taps or truncate the output). On success the output
-/// is exactly Conv1d's.
+/// (rank, channel count, bias length, non-positive kernel/dilation, rows
+/// not divisible into `num_seqs` sequences) instead of aborting — the
+/// single source of truth for Conv1d shape rules (the checked autograd path
+/// routes through it, so a mismatched weight can never silently drop taps
+/// or truncate the output). On success the output is exactly Conv1d's.
 Result<Tensor> Conv1dChecked(const Tensor& input, const Tensor& weight,
                              const Tensor& bias, PadMode mode,
-                             int64_t dilation = 1);
+                             int64_t dilation = 1, int64_t num_seqs = 1);
 
-/// Gradient of Conv1d w.r.t. its input.
+/// Gradient of Conv1d w.r.t. its input (`input_len` = total input rows).
 Tensor Conv1dBackwardInput(const Tensor& grad_out, const Tensor& weight,
-                           int64_t input_len, PadMode mode, int64_t dilation = 1);
+                           int64_t input_len, PadMode mode,
+                           int64_t dilation = 1, int64_t num_seqs = 1);
 
-/// Gradient of Conv1d w.r.t. its weight.
+/// Gradient of Conv1d w.r.t. its weight, summed over sequences in order.
 Tensor Conv1dBackwardWeight(const Tensor& grad_out, const Tensor& input,
                             int64_t kernel_size, PadMode mode,
-                            int64_t dilation = 1);
+                            int64_t dilation = 1, int64_t num_seqs = 1);
 
 /// Gradient of Conv1d w.r.t. its bias (column sums of grad_out).
 Tensor Conv1dBackwardBias(const Tensor& grad_out);

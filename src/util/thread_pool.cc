@@ -18,6 +18,9 @@ namespace {
 /// calls observe it and run inline.
 thread_local bool tl_in_parallel_region = false;
 
+/// See TapeDisabled(); copied into each job and re-installed on workers.
+thread_local bool tl_tape_disabled = false;
+
 /// Pool metrics, resolved once (registry lookups take a mutex; the returned
 /// references are stable). Only touched when obs::Enabled().
 struct PoolMetrics {
@@ -77,6 +80,7 @@ struct ThreadPool::Job {
   uint64_t submit_ns = 0;  ///< obs: trace-epoch time of dispatch (0 = off)
   const std::function<void(int64_t, int64_t)>* body = nullptr;
   const CancelToken* cancel = nullptr;
+  bool tape_disabled = false;  ///< the submitter's TapeDisabled()
   std::atomic<int64_t> next{0};
   std::atomic<int64_t> completed{0};
   std::atomic<bool> has_error{false};
@@ -124,6 +128,8 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::RunChunks(Job& job) {
   const bool previous = tl_in_parallel_region;
   tl_in_parallel_region = true;
+  const bool previous_tape_disabled = tl_tape_disabled;
+  tl_tape_disabled = job.tape_disabled;
   // Workers re-install the job's token so code called from the body (and,
   // later, nested inline loops) observes cancellation on every thread. The
   // submitting caller blocks in ParallelForRange until the job drains, so
@@ -172,6 +178,7 @@ void ThreadPool::RunChunks(Job& job) {
     }
   }
   tl_in_parallel_region = previous;
+  tl_tape_disabled = previous_tape_disabled;
 }
 
 void ThreadPool::ParallelForRange(
@@ -195,6 +202,7 @@ void ThreadPool::ParallelForRange(
   job->num_chunks = (n + grain - 1) / grain;
   job->body = &body;
   job->cancel = cancel;
+  job->tape_disabled = tl_tape_disabled;
   if (obs::Enabled()) {
     job->submit_ns = obs::internal_trace::NowNs();
     PoolMetrics::Get().jobs.Increment();
@@ -264,6 +272,10 @@ int ThreadPool::DefaultThreads() {
 }
 
 bool ThreadPool::InParallelRegion() { return tl_in_parallel_region; }
+
+bool TapeDisabled() { return tl_tape_disabled; }
+
+void SetTapeDisabled(bool disabled) { tl_tape_disabled = disabled; }
 
 ThreadPool::InlineScope::InlineScope() : previous_(tl_in_parallel_region) {
   tl_in_parallel_region = true;

@@ -127,6 +127,13 @@ void ParallelFor(int64_t n, const std::function<void(int64_t)>& body,
 void ParallelForRange(int64_t n, int64_t grain,
                       const std::function<void(int64_t, int64_t)>& body);
 
+/// Thread-ambient flag behind autograd::InferenceScope ("record no autograd
+/// tape"). It lives here, below autograd, so that a dispatched loop can hand
+/// the submitting thread's value to the workers that run its chunks, as it
+/// hands them the CancelToken.
+bool TapeDisabled();
+void SetTapeDisabled(bool disabled);
+
 }  // namespace gaia::util
 
 #endif  // GAIA_UTIL_THREAD_POOL_H_

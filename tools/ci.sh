@@ -16,7 +16,10 @@
 # pipeline must survive), an ASan+UBSan build running the labelled
 # robust/concurrency/golden/obs/cancel/shard/admin/scenario subset, then a
 # TSan build running the concurrency/robust/cancel/shard/admin/scenario
-# subset (the concurrency tentpoles' race check).
+# subset (the concurrency tentpoles' race check), and a benchmark-package
+# pass (gaia_bench's own bench-labelled tests: its TailQuantile unit test
+# and the all-workload smoke run, which byte-checks every served answer and
+# memcmps the per-module forward against PredictEgo).
 #
 #   tools/ci.sh            # all jobs
 #   tools/ci.sh release    # release job only
@@ -28,6 +31,7 @@
 #   tools/ci.sh scenario   # scenario/chaos regime job only (reuses build/)
 #   tools/ci.sh sanitize   # ASan+UBSan job only
 #   tools/ci.sh tsan       # TSan job only
+#   tools/ci.sh bench      # gaia_bench package job only
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -319,4 +323,13 @@ if [[ "$job" == "tsan" || "$job" == "all" ]]; then
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure \
     -L "concurrency|robust|cancel|shard|admin|scenario" --no-tests=error
+fi
+
+if [[ "$job" == "bench" || "$job" == "all" ]]; then
+  echo "=== gaia_bench package: bench-labelled tests (unit + smoke) ==="
+  # The benchmark of record builds ../src as a package of its own, so it
+  # gets its own build tree.
+  cmake -S gaia_bench -B build-bench -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-bench -j"$jobs"
+  ctest --test-dir build-bench --output-on-failure -L bench --no-tests=error
 fi

@@ -419,6 +419,20 @@ int Serve(const Args& args) {
   if (!args.Has("market") || !args.Has("checkpoint")) {
     return Fail("serve requires --market DIR and --checkpoint FILE");
   }
+  // Counts and budgets outside their range would divide by zero, fall back
+  // to another mode or be clamped without a word; reject them instead.
+  const std::pair<const char*, double> minimums[] = {
+      {"requests", 1},  {"shards", 0},      {"clients", 1},
+      {"max-batch", 1}, {"deadline-ms", 0}, {"max-wait-us", 0}};
+  for (const auto& [flag, min] : minimums) {
+    if (!args.Has(flag)) continue;
+    const double value = args.GetDouble(flag, min);
+    if (!(value >= min)) {
+      return Fail("flag --" + std::string(flag) + " must be >= " +
+                  TablePrinter::FormatDouble(min, 0) + ", got " +
+                  args.Get(flag, ""));
+    }
+  }
   MetricsDump metrics_dump(args);
   // The admin plane comes up first: /healthz is reachable (503) while the
   // dataset and checkpoint load, and flips to 200 at adoption.
@@ -455,8 +469,7 @@ int Serve(const Args& args) {
       return "sharded(" + std::to_string(shards) + ")";
     });
     admin.MarkReady();
-    const int clients =
-        std::max<int>(1, static_cast<int>(args.GetInt("clients", 4)));
+    const int clients = static_cast<int>(args.GetInt("clients", 4));
     std::vector<std::thread> client_threads;
     client_threads.reserve(static_cast<size_t>(clients));
     std::atomic<int64_t> next{0};

@@ -1,7 +1,8 @@
 // Captures a Chrome trace_event JSON profile of one training step plus one
 // serving batch at detail level: open the output in chrome://tracing or
 // https://ui.perfetto.dev to see the span hierarchy (model.forward_graph >
-// ita_gcn.forward > ita_gcn.attend > cau.attend ...) across pool threads.
+// ita_gcn.forward > ita_gcn.attend > cau.attend) and the batched kernels'
+// chunks across pool threads.
 //
 //   ./build/tools/trace_dump --out /tmp/gaia_trace.json --threads 4
 //
