@@ -7,6 +7,7 @@
 #include <optional>
 #include <thread>
 
+#include "core/evaluator.h"
 #include "graph/eseller_graph.h"
 #include "obs/obs.h"
 #include "serving/checkpoint_store.h"
@@ -292,14 +293,97 @@ ModelServer::Prediction ModelServer::Serve(int32_t shop,
   return Serve(shop, deadline_ms, ctx);
 }
 
-void ModelServer::EnableQuantileBands(core::QuantileBandTable table) {
-  bands_ = std::make_shared<const core::QuantileBandTable>(std::move(table));
+int QuantileBandTable::Group(int series_length) {
+  return series_length < core::Evaluator::kNewShopThreshold ? kNewShops
+                                                            : kOldShops;
+}
+
+Result<QuantileBandTable> ModelServer::CalibrateQuantileBands(
+    const std::vector<int32_t>& calibration_nodes, double coverage) const {
+  if (coverage <= 0.0 || coverage >= 1.0) {
+    return Status::InvalidArgument("band coverage must be in (0, 1)");
+  }
+  if (calibration_nodes.empty()) {
+    return Status::InvalidArgument("band calibration needs held-out nodes");
+  }
+  const int64_t num_nodes = dataset_->num_nodes();
+  for (int32_t shop : calibration_nodes) {
+    if (shop < 0 || shop >= num_nodes) {
+      return Status::InvalidArgument("calibration node " +
+                                     std::to_string(shop) + " out of range");
+    }
+  }
+  // The server's own answers, exactly as requests get them.
+  std::vector<Prediction> answers(calibration_nodes.size());
+  {
+    autograd::InferenceScope no_tape;
+    util::ParallelFor(static_cast<int64_t>(answers.size()), [&](int64_t i) {
+      const auto idx = static_cast<size_t>(i);
+      answers[idx] = Serve(calibration_nodes[idx], 0.0);
+    });
+  }
+
+  // Conformity scores |target - served forecast| in normalized units, one
+  // per (group, month) cell.
+  const auto horizon = static_cast<size_t>(dataset_->horizon());
+  std::array<std::vector<std::vector<double>>, 2> scores;
+  for (auto& group : scores) group.resize(horizon);
+  for (const Prediction& answer : answers) {
+    if (answer.served_by == ServePath::kFallback) {
+      return Status::FailedPrecondition(
+          "band calibration answer for shop " + std::to_string(answer.shop) +
+          " came from the fallback: " + answer.degraded_reason);
+    }
+    const Tensor& target = dataset_->target(answer.shop);
+    const double scale = dataset_->scale(answer.shop);
+    auto& group = scores[static_cast<size_t>(
+        QuantileBandTable::Group(dataset_->series_length(answer.shop)))];
+    for (size_t h = 0; h < horizon; ++h) {
+      group[h].push_back(std::abs(
+          static_cast<double>(target.at(static_cast<int64_t>(h))) -
+          answer.gmv[h] / scale));
+    }
+  }
+
+  QuantileBandTable table;
+  table.coverage = coverage;
+  for (size_t g = 0; g < scores.size(); ++g) {
+    table.half_width[g].resize(horizon);
+    for (size_t h = 0; h < horizon; ++h) {
+      std::vector<double>& cell = scores[g][h];
+      // The split-conformal quantile is the k-th order statistic with
+      // k = ceil((n + 1) * coverage); the epsilon keeps an exact product
+      // such as 10 * 0.8 from rounding up a rank. A cell with k > n has no
+      // such statistic and cannot carry the guarantee.
+      const size_t n = cell.size();
+      const auto k = static_cast<size_t>(std::ceil(
+          (static_cast<double>(n) + 1.0) * coverage - 1e-9));
+      if (k > n) {
+        return Status::InvalidArgument(
+            std::string(g == QuantileBandTable::kNewShops ? "new" : "old") +
+            "-shop band for month +" + std::to_string(h + 1) + " needs " +
+            std::to_string(k) + " calibration shops at coverage " +
+            std::to_string(coverage) + ", has " + std::to_string(n));
+      }
+      std::nth_element(cell.begin(), cell.begin() + (k - 1), cell.end());
+      table.half_width[g][h] = cell[k - 1];
+    }
+  }
+  return table;
+}
+
+void ModelServer::EnableQuantileBands(QuantileBandTable table) {
+  for (const std::vector<double>& row : table.half_width) {
+    GAIA_CHECK_EQ(static_cast<int64_t>(row.size()), dataset_->horizon());
+    for (double width : row) GAIA_CHECK(std::isfinite(width) && width >= 0.0);
+  }
+  bands_ = std::make_shared<const QuantileBandTable>(std::move(table));
 }
 
 void ModelServer::ApplyQuantileBands(Prediction* prediction) const {
-  const auto shop = static_cast<size_t>(prediction->shop);
-  if (shop >= bands_->sigma.size()) return;
-  const std::vector<double>& sigma = bands_->sigma[shop];
+  const std::vector<double>& half_width =
+      bands_->half_width[static_cast<size_t>(QuantileBandTable::Group(
+          dataset_->series_length(prediction->shop)))];
   const double inflate = prediction->served_by == ServePath::kFallback
                              ? bands_->degraded_inflation
                              : 1.0;
@@ -308,13 +392,10 @@ void ModelServer::ApplyQuantileBands(Prediction* prediction) const {
   prediction->p10.resize(horizon);
   prediction->p90.resize(horizon);
   for (size_t h = 0; h < horizon; ++h) {
-    const double s = h < sigma.size() ? sigma[h] : 0.0;
     // Denormalize is purely multiplicative (value * scale(shop)), so a
-    // normalized-units stddev denormalizes exactly like a forecast.
-    const double width = std::max(
-        bands_->scale * inflate *
-            dataset_->Denormalize(prediction->shop, s),
-        0.0);
+    // normalized-units half-width denormalizes exactly like a forecast.
+    const double width =
+        inflate * dataset_->Denormalize(prediction->shop, half_width[h]);
     prediction->p10[h] = std::max(0.0, prediction->gmv[h] - width);
     prediction->p90[h] = prediction->gmv[h] + width;
   }

@@ -1,6 +1,7 @@
 #ifndef GAIA_SERVING_MODEL_SERVER_H_
 #define GAIA_SERVING_MODEL_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -8,7 +9,6 @@
 #include <vector>
 
 #include "core/gaia_model.h"
-#include "core/probabilistic_gaia.h"
 #include "core/trainer.h"
 #include "data/dataset.h"
 #include "obs/event_log.h"
@@ -46,6 +46,33 @@ struct ServerConfig {
   /// Retry policy for LoadCheckpoint (transient I/O only; corrupt
   /// checkpoints are not retried).
   util::RetryPolicy checkpoint_retry;
+};
+
+/// \brief Split-conformal p10–p90 half-widths for the served forecast,
+/// one per (shop-age group, horizon month).
+///
+/// Mondrian (group-conditional) calibration over Fig. 3's two groups: new
+/// shops (series length < core::Evaluator::kNewShopThreshold) and old
+/// shops, so the cold-start shops keep their own guarantee instead of
+/// borrowing the old shops' narrower residuals. `half_width[g][h]` is the
+/// ceil((n+1)*coverage)-th smallest |target - served forecast| of group g's
+/// n calibration shops at month h, in normalized units. The table is a pure
+/// value: cheap to copy, safe to share across generations and shards.
+struct QuantileBandTable {
+  static constexpr int kNewShops = 0;
+  static constexpr int kOldShops = 1;
+
+  /// Central coverage the bands were calibrated to (p90 - p10 mass).
+  double coverage = 0.8;
+  /// Extra width multiplier for degraded/fallback answers: a Holt-Winters
+  /// answer carries the model's uncertainty *plus* the uncertainty of not
+  /// being the model, so its bands are honestly wider.
+  double degraded_inflation = 1.5;
+  /// [group][horizon] band half-widths, normalized units.
+  std::array<std::vector<double>, 2> half_width;
+
+  /// kNewShops or kOldShops for a shop's observed history length.
+  static int Group(int series_length);
 };
 
 /// \brief Real-time prediction service over a trained Gaia model.
@@ -146,13 +173,28 @@ class ModelServer {
   /// the newest checkpoint that verifies (see CheckpointStore).
   Status LoadCheckpoint(const CheckpointStore& store);
 
-  /// Installs a calibrated band table (core::CalibrateQuantileBands): every
-  /// later answer carries p10/p50/p90 in GMV units. Call before serving
-  /// starts — Serve reads the table without synchronization. The point
-  /// forecast (gmv) is untouched, so forecasts stay bitwise identical with
-  /// bands on or off.
-  void EnableQuantileBands(core::QuantileBandTable table);
-  bool quantile_bands_enabled() const { return bands_ != nullptr; }
+  /// Split-conformal calibration of the p10–p90 bands on this server's own
+  /// answers: each calibration shop is answered by Serve(shop, 0), exactly
+  /// as a request would be (sampled ego included), so the guarantee covers
+  /// the forecast that is served. Calibration requests are counted in the
+  /// serving metrics and event log like any served request, but not in the
+  /// per-server totals. The shops must be held out from training (the val
+  /// split) and exchangeable with the shops the bands will serve.
+  /// Errors: empty or out-of-range shops, coverage outside (0, 1), a
+  /// (group, month) cell with too few shops to carry the guarantee
+  /// (ceil((n+1)*coverage) > n), or any answer from the fallback rung.
+  Result<QuantileBandTable> CalibrateQuantileBands(
+      const std::vector<int32_t>& calibration_nodes, double coverage) const;
+
+  /// Installs a calibrated band table: every later answer carries
+  /// p10/p50/p90 in GMV units. Call before serving starts — Serve reads the
+  /// table without synchronization. The point forecast (gmv) is untouched,
+  /// so forecasts stay bitwise identical with bands on or off.
+  /// A table holds for the weights it was calibrated on: LoadCheckpoint
+  /// keeps it, so a caller that swaps weights recalibrates and re-installs.
+  /// Aborts unless each group carries one non-negative finite half-width
+  /// per horizon month.
+  void EnableQuantileBands(QuantileBandTable table);
 
   int64_t total_requests() const { return total_requests_; }
   double total_latency_ms() const { return total_latency_ms_; }
@@ -172,16 +214,16 @@ class ModelServer {
   /// shop's own normalized history, denormalized and clamped to >= 0.
   std::vector<double> FallbackForecast(int32_t shop) const;
 
-  /// Attaches p10/p50/p90 from the installed band table (no-op without
-  /// one). Width = scale * sigma[shop][h], denormalized, inflated for
-  /// fallback answers; p10 is floored at zero like every GMV value.
+  /// Attaches p10/p50/p90 from the installed band table. Width =
+  /// half_width[group][h], denormalized, inflated for fallback answers;
+  /// p10 is floored at zero like every GMV value.
   void ApplyQuantileBands(Prediction* prediction) const;
 
   std::shared_ptr<core::GaiaModel> model_;
   std::shared_ptr<const data::ForecastDataset> dataset_;
   ServerConfig config_;
   /// Calibrated uncertainty table; null until EnableQuantileBands.
-  std::shared_ptr<const core::QuantileBandTable> bands_;
+  std::shared_ptr<const QuantileBandTable> bands_;
   int64_t total_requests_ = 0;
   double total_latency_ms_ = 0.0;
   int64_t fallback_requests_ = 0;

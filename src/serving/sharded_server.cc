@@ -109,9 +109,9 @@ std::shared_ptr<const ShardedServer::Generation> ShardedServer::MakeGeneration(
   return generation;
 }
 
-void ShardedServer::EnableQuantileBands(core::QuantileBandTable table) {
+void ShardedServer::EnableQuantileBands(QuantileBandTable table) {
   std::lock_guard<std::mutex> lock(publish_mu_);
-  bands_ = std::make_shared<const core::QuantileBandTable>(std::move(table));
+  bands_ = std::make_shared<const QuantileBandTable>(std::move(table));
   // Rebuild the live generation around the same model/epoch so bands take
   // effect without waiting for the next checkpoint publish.
   std::shared_ptr<const Generation> current = shards_.front()->cell.Load();

@@ -125,13 +125,18 @@ class ShardedServer {
   /// through its history like ModelServer::LoadCheckpoint).
   Status LoadCheckpoint(const CheckpointStore& store);
 
-  /// Installs a calibrated band table (core::CalibrateQuantileBands) on the
-  /// live generation and on every generation published after this call:
-  /// answers from any shard carry p10/p50/p90 identical to an unsharded
-  /// ModelServer with the same table. Serialized against publishes; the
-  /// swap is the usual RCU flip (same epoch number), so in-flight windows
-  /// finish on the band-less generation and later ones carry bands.
-  void EnableQuantileBands(core::QuantileBandTable table);
+  /// Installs a calibrated band table on the live generation and on every
+  /// generation published after this call: answers from any shard carry
+  /// p10/p50/p90 identical to an unsharded ModelServer with the same table.
+  /// Calibrate with ModelServer::CalibrateQuantileBands on a server over the
+  /// same model, dataset and ServerConfig — its answers are bitwise this
+  /// tier's — whose calibration requests are served and counted like any
+  /// other. A table holds for the weights it was calibrated on: a publish
+  /// (LoadCheckpoint) keeps it, so a caller that swaps weights recalibrates
+  /// and re-installs. Serialized against publishes; the swap is the usual
+  /// RCU flip (same epoch number), so in-flight windows finish on the
+  /// band-less generation and later ones carry bands.
+  void EnableQuantileBands(QuantileBandTable table);
 
   /// Closes the shard queues, answers everything already accepted, joins
   /// the workers. Idempotent; the destructor calls it.
@@ -238,7 +243,7 @@ class ShardedServer {
   /// Band table stamped onto every generation built after installation.
   /// Written under publish_mu_; read by MakeGeneration (also under the
   /// mutex, or during construction before any worker exists).
-  std::shared_ptr<const core::QuantileBandTable> bands_;
+  std::shared_ptr<const QuantileBandTable> bands_;
   std::atomic<int64_t> epoch_{0};
   std::atomic<int64_t> total_requests_{0};
   std::atomic<int64_t> fallback_requests_{0};

@@ -1,6 +1,5 @@
 // Tests for the extension features beyond the paper's core: GRU cell,
-// Holt-Winters smoothing, weakly connected components, and the
-// probabilistic (Gaussian-head) Gaia variant.
+// Holt-Winters smoothing and weakly connected components.
 
 #include <gtest/gtest.h>
 
@@ -8,10 +7,6 @@
 #include <memory>
 
 #include "autograd/grad_check.h"
-#include "core/evaluator.h"
-#include "core/probabilistic_gaia.h"
-#include "core/trainer.h"
-#include "data/market_simulator.h"
 #include "graph/eseller_graph.h"
 #include "nn/layers.h"
 #include "ts/holt_winters.h"
@@ -181,113 +176,6 @@ TEST(ConnectedComponentsTest, EmptyAndFullyConnected) {
   auto full = builder.Build();
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full.value().NumWeaklyConnectedComponents(), 1);
-}
-
-// ---------------------------------------------------------------------------
-// ProbabilisticGaia
-// ---------------------------------------------------------------------------
-
-class ProbabilisticGaiaTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    data::MarketConfig cfg;
-    cfg.num_shops = 50;
-    cfg.history_months = 12;
-    cfg.seed = 11;
-    auto market = data::MarketSimulator(cfg).Generate();
-    ASSERT_TRUE(market.ok());
-    auto ds = data::ForecastDataset::Create(market.value(),
-                                            data::DatasetOptions{});
-    ASSERT_TRUE(ds.ok());
-    dataset_ = std::make_unique<data::ForecastDataset>(std::move(ds).value());
-  }
-
-  std::unique_ptr<core::ProbabilisticGaia> MakeModel() const {
-    core::ProbabilisticGaia::Config cfg;
-    cfg.channels = 8;
-    cfg.tel_groups = 2;
-    cfg.num_layers = 1;
-    auto model = core::ProbabilisticGaia::Create(
-        cfg, dataset_->history_len(), dataset_->horizon(),
-        dataset_->temporal_dim(), dataset_->static_dim());
-    EXPECT_TRUE(model.ok());
-    return std::move(model).value();
-  }
-
-  std::unique_ptr<data::ForecastDataset> dataset_;
-};
-
-TEST_F(ProbabilisticGaiaTest, GaussianNllIsMinimalAtPerfectMean) {
-  Tensor target({3}, {1.0f, 2.0f, 3.0f});
-  Var exact = ag::Constant(target);
-  Var off = ag::Constant(Tensor({3}, {2.0f, 3.0f, 4.0f}));
-  Var logvar = ag::Constant(Tensor({3}));  // unit variance
-  const float nll_exact =
-      core::GaussianNll(exact, logvar, target)->value.at(0);
-  const float nll_off = core::GaussianNll(off, logvar, target)->value.at(0);
-  EXPECT_LT(nll_exact, nll_off);
-  EXPECT_FLOAT_EQ(nll_exact, 0.0f);  // 0.5 * mean(0 + 0)
-}
-
-TEST_F(ProbabilisticGaiaTest, NllGradCheck) {
-  Rng rng(5);
-  Tensor target = Tensor::Randn({4}, &rng);
-  std::vector<Var> params = {ag::Parameter(Tensor::Randn({4}, &rng)),
-                             ag::Parameter(Tensor::Randn({4}, &rng, 0.3f))};
-  auto build = [&](const std::vector<Var>& p) {
-    return core::GaussianNll(p[0], p[1], target);
-  };
-  auto result = ag::CheckGradients(build, params);
-  EXPECT_TRUE(result.ok) << result.detail;
-}
-
-TEST_F(ProbabilisticGaiaTest, PredictShapesAndPositiveStddev) {
-  auto model = MakeModel();
-  auto dists = model->PredictDistribution(*dataset_, {0, 1, 2});
-  ASSERT_EQ(dists.size(), 3u);
-  for (const auto& dist : dists) {
-    EXPECT_EQ(dist.mean.dim(0), dataset_->horizon());
-    EXPECT_EQ(dist.stddev.dim(0), dataset_->horizon());
-    EXPECT_GE(dist.mean.Min(), 0.0f);
-    EXPECT_GT(dist.stddev.Min(), 0.0f);
-    // Bounded log-variance: stddev <= exp(max_logvar / 2).
-    EXPECT_LE(dist.stddev.Max(), std::exp(2.0f) + 1e-3f);
-  }
-}
-
-TEST_F(ProbabilisticGaiaTest, NllTrainingImprovesLossAndCoverage) {
-  auto model = MakeModel();
-  core::TrainConfig tc;
-  tc.max_epochs = 25;
-  tc.eval_every = 25;
-  tc.patience = 100;
-  core::TrainResult result = core::Trainer(tc).Fit(model.get(), *dataset_);
-  EXPECT_LT(result.final_train_loss, result.train_loss_history.front());
-
-  // ~2-sigma intervals should cover a clear majority of test actuals.
-  const auto& nodes = dataset_->test_nodes();
-  auto dists = model->PredictDistribution(*dataset_, nodes);
-  int covered = 0, total = 0;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const Tensor& target = dataset_->target(nodes[i]);
-    for (int64_t h = 0; h < target.size(); ++h) {
-      const double lo =
-          dists[i].mean.at(h) - 2.0 * dists[i].stddev.at(h);
-      const double hi =
-          dists[i].mean.at(h) + 2.0 * dists[i].stddev.at(h);
-      covered += (target.at(h) >= lo && target.at(h) <= hi) ? 1 : 0;
-      ++total;
-    }
-  }
-  EXPECT_GT(static_cast<double>(covered) / total, 0.6);
-}
-
-TEST_F(ProbabilisticGaiaTest, WorksWithStandardEvaluator) {
-  auto model = MakeModel();
-  auto report = core::Evaluator::Evaluate(model.get(), *dataset_,
-                                          dataset_->test_nodes());
-  EXPECT_EQ(report.method, "Gaia (probabilistic)");
-  EXPECT_GT(report.overall.count, 0);
 }
 
 }  // namespace

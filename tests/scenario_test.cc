@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "core/evaluator.h"
-#include "core/probabilistic_gaia.h"
 #include "core/trainer.h"
 #include "data/dataset.h"
 #include "data/market_simulator.h"
@@ -487,16 +487,14 @@ class QuantileBandTest : public ::testing::Test {
   }
   void TearDown() override { util::FaultInjector::Global().Reset(); }
 
-  /// A synthetic table with constant normalized sigma: bands become a pure
-  /// function of the dataset's per-shop scale, which the assertions can pin
-  /// exactly without a trained probabilistic model.
-  core::QuantileBandTable FlatTable(double sigma, double scale) const {
-    core::QuantileBandTable table;
-    table.scale = scale;
-    table.sigma.assign(
-        static_cast<size_t>(dataset_->num_nodes()),
-        std::vector<double>(static_cast<size_t>(dataset_->horizon()),
-                            sigma));
+  /// A synthetic table with one normalized half-width for every (group,
+  /// month): bands become a pure function of the dataset's per-shop scale,
+  /// which the assertions can pin exactly without a trained model.
+  serving::QuantileBandTable FlatTable(double half_width) const {
+    serving::QuantileBandTable table;
+    for (auto& row : table.half_width) {
+      row.assign(static_cast<size_t>(dataset_->horizon()), half_width);
+    }
     return table;
   }
 
@@ -505,59 +503,148 @@ class QuantileBandTest : public ::testing::Test {
 };
 
 TEST_F(QuantileBandTest, CalibratedBandsCoverHeldOutTargets) {
-  core::ProbabilisticGaia::Config cfg;
-  cfg.channels = 8;
-  cfg.tel_groups = 2;
-  cfg.num_layers = 1;
-  auto model = core::ProbabilisticGaia::Create(
-      cfg, dataset_->history_len(), dataset_->horizon(),
-      dataset_->temporal_dim(), dataset_->static_dim());
+  // The 300-shop market with a larger val split, so every (group, month)
+  // cell has dozens of calibration shops: at seed 42 val holds 56 new / 34
+  // old shops and test 57 new / 33 old.
+  data::MarketConfig market_cfg;
+  market_cfg.num_shops = 300;
+  market_cfg.seed = 42;
+  auto market = data::MarketSimulator(market_cfg).Generate();
+  ASSERT_TRUE(market.ok());
+  data::DatasetOptions options;
+  options.train_fraction = 0.4;
+  options.val_fraction = 0.3;
+  auto created = data::ForecastDataset::Create(market.value(), options);
+  ASSERT_TRUE(created.ok());
+  auto dataset =
+      std::make_shared<data::ForecastDataset>(std::move(created).value());
+  core::GaiaConfig model_cfg;
+  model_cfg.channels = 8;
+  model_cfg.tel_groups = 2;
+  model_cfg.num_layers = 1;
+  auto model = core::GaiaModel::Create(
+      model_cfg, dataset->history_len(), dataset->horizon(),
+      dataset->temporal_dim(), dataset->static_dim());
   ASSERT_TRUE(model.ok());
+  std::shared_ptr<core::GaiaModel> gaia = std::move(model).value();
   core::TrainConfig tc;
-  tc.max_epochs = 25;
-  tc.eval_every = 25;
+  tc.max_epochs = 20;
+  tc.eval_every = 20;
   tc.patience = 100;
-  core::Trainer(tc).Fit(model.value().get(), *dataset_);
+  core::Trainer(tc).Fit(gaia.get(), *dataset);
 
-  auto table = core::CalibrateQuantileBands(
-      model.value().get(), *dataset_, dataset_->val_nodes(), 0.8);
+  constexpr double kCoverage = 0.8;
+  serving::ModelServer server(gaia, dataset, serving::ServerConfig{});
+  auto table = server.CalibrateQuantileBands(dataset->val_nodes(), kCoverage);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_GT(table.value().scale, 0.0);
-  EXPECT_FALSE(table.value().empty());
+  EXPECT_EQ(table.value().coverage, kCoverage);
+  server.EnableQuantileBands(table.value());
 
-  // Split-conformal guarantee: empirical coverage on held-out test nodes
-  // lands near the calibrated 0.8 (finite-sample slack both ways).
-  const auto& nodes = dataset_->test_nodes();
-  auto dists = model.value()->PredictDistribution(*dataset_, nodes);
-  int covered = 0, total = 0;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const Tensor& target = dataset_->target(nodes[i]);
-    for (int64_t h = 0; h < target.size(); ++h) {
-      const double width =
-          table.value().scale * dists[i].stddev.at(h);
-      covered += std::abs(target.at(h) - dists[i].mean.at(h)) <= width;
-      ++total;
+  const auto group_of = [&](int32_t shop) {
+    return static_cast<size_t>(
+        serving::QuantileBandTable::Group(dataset->series_length(shop)));
+  };
+  const auto horizon = static_cast<size_t>(dataset->horizon());
+  // covered[group][month] / shops[group] over a split's served answers.
+  struct Counts {
+    std::array<std::vector<int>, 2> covered;
+    int shops[2] = {0, 0};
+  };
+  const auto count_covered = [&](const std::vector<int32_t>& nodes) {
+    Counts counts;
+    for (auto& row : counts.covered) row.assign(horizon, 0);
+    for (int32_t shop : nodes) {
+      auto answer = server.Predict(shop);
+      EXPECT_EQ(answer.served_by, serving::ModelServer::ServePath::kModel);
+      const size_t g = group_of(shop);
+      ++counts.shops[g];
+      for (size_t h = 0; h < horizon; ++h) {
+        const double actual = dataset->ActualGmv(shop, static_cast<int>(h));
+        counts.covered[g][h] +=
+            answer.p10[h] <= actual && actual <= answer.p90[h];
+      }
+    }
+    return counts;
+  };
+  const auto rank = [&](int n) {
+    return static_cast<int>(std::ceil((n + 1) * kCoverage - 1e-9));
+  };
+
+  // In sample, each cell's half-width is the k-th smallest served residual,
+  // so the banded answers cover exactly k of the n calibration shops (one
+  // either way: the k-th sits on the band edge, and GMV-unit rounding may
+  // put it on either side).
+  const Counts cal = count_covered(dataset->val_nodes());
+  for (size_t g = 0; g < 2; ++g) {
+    for (size_t h = 0; h < horizon; ++h) {
+      EXPECT_NEAR(cal.covered[g][h], rank(cal.shops[g]), 1)
+          << "group " << g << " month " << h;
     }
   }
-  const double coverage = static_cast<double>(covered) / total;
-  EXPECT_GE(coverage, 0.6) << "bands are too narrow";
-  EXPECT_LE(coverage, 0.99) << "bands are vacuously wide";
+
+  // Held out, per group. With n exchangeable calibration shops a cell's
+  // coverage given the calibration draw is Beta(k, n + 1 - k), mean
+  // p = k / (n + 1) >= 0.8; over m test shops the empirical coverage has
+  // variance p(1 - p) / m + (1 - 1/m) Var[Beta]. A group's coverage
+  // averages its months, and the SD of an average is at most the per-month
+  // SD however the months correlate (they share shops). The tolerance is 3
+  // of those SDs: 0.22 for the new shops and 0.29 for the old at this seed.
+  const Counts test = count_covered(dataset->test_nodes());
+  for (size_t g = 0; g < 2; ++g) {
+    const int n = cal.shops[g];
+    const int m = test.shops[g];
+    ASSERT_GE(m, 30) << "group " << g;
+    const double k = rank(n);
+    const double p = k / (n + 1);
+    const double beta_var =
+        k * (n + 1 - k) / ((n + 1.0) * (n + 1.0) * (n + 2.0));
+    const double sd =
+        std::sqrt(p * (1 - p) / m + (1 - 1.0 / m) * beta_var);
+    int covered = 0;
+    for (int c : test.covered[g]) covered += c;
+    const double coverage = static_cast<double>(covered) / (m * horizon);
+    EXPECT_NEAR(coverage, p, 3 * sd) << "group " << g << ": " << covered
+                                      << " of " << m * horizon << " months";
+  }
 
   // Degenerate inputs are rejected, not mis-calibrated.
-  EXPECT_FALSE(core::CalibrateQuantileBands(model.value().get(), *dataset_,
-                                            {}, 0.8)
+  EXPECT_FALSE(server.CalibrateQuantileBands({}, kCoverage).ok());
+  EXPECT_FALSE(
+      server.CalibrateQuantileBands(dataset->val_nodes(), 1.5).ok());
+  EXPECT_FALSE(server.CalibrateQuantileBands(
+                         {0, static_cast<int32_t>(dataset->num_nodes())},
+                         kCoverage)
                    .ok());
-  EXPECT_FALSE(core::CalibrateQuantileBands(model.value().get(), *dataset_,
-                                            dataset_->val_nodes(), 1.5)
-                   .ok());
+  // Three new shops cannot carry a 0.8 band: k = ceil(4 * 0.8) = 4 > 3.
+  std::vector<int32_t> few_new;
+  int new_shops = 0;
+  for (int32_t shop : dataset->val_nodes()) {
+    if (group_of(shop) != serving::QuantileBandTable::kNewShops) {
+      few_new.push_back(shop);
+    } else if (new_shops < 3) {
+      few_new.push_back(shop);
+      ++new_shops;
+    }
+  }
+  auto too_small = server.CalibrateQuantileBands(few_new, kCoverage);
+  ASSERT_FALSE(too_small.ok());
+  EXPECT_NE(too_small.status().ToString().find("new-shop band for month +1"),
+            std::string::npos)
+      << too_small.status().ToString();
+  // Fallback residuals never enter a table.
+  ASSERT_TRUE(util::FaultInjector::Global()
+                  .ArmFromString("serving.forward:nan:1.0")
+                  .ok());
+  auto degraded =
+      server.CalibrateQuantileBands(dataset->val_nodes(), kCoverage);
+  util::FaultInjector::Global().Reset();
+  EXPECT_FALSE(degraded.ok());
 }
 
 TEST_F(QuantileBandTest, ServerWrapsPointForecastInBands) {
   serving::ModelServer plain(model_, dataset_, serving::ServerConfig{});
   serving::ModelServer banded(model_, dataset_, serving::ServerConfig{});
-  banded.EnableQuantileBands(FlatTable(/*sigma=*/0.1, /*scale=*/2.0));
-  EXPECT_FALSE(plain.quantile_bands_enabled());
-  EXPECT_TRUE(banded.quantile_bands_enabled());
+  banded.EnableQuantileBands(FlatTable(/*half_width=*/0.2));
 
   for (int32_t shop : {0, 7, 23}) {
     auto without = plain.Predict(shop);
@@ -571,12 +658,12 @@ TEST_F(QuantileBandTest, ServerWrapsPointForecastInBands) {
     ASSERT_EQ(with.p50.size(), with.gmv.size());
     ASSERT_EQ(with.p10.size(), with.gmv.size());
     ASSERT_EQ(with.p90.size(), with.gmv.size());
-    const double width = 2.0 * 0.1 * dataset_->Denormalize(shop, 1.0);
+    const double width = dataset_->Denormalize(shop, 0.2);
     for (size_t h = 0; h < with.gmv.size(); ++h) {
       EXPECT_EQ(with.p50[h], with.gmv[h]);
       EXPECT_LE(with.p10[h], with.p50[h]);
       EXPECT_GE(with.p90[h], with.p50[h]);
-      // Exact width: scale * sigma, denormalized; p10 floors at zero.
+      // Exact width: the half-width, denormalized; p10 floors at zero.
       EXPECT_DOUBLE_EQ(with.p90[h], with.gmv[h] + width);
       EXPECT_DOUBLE_EQ(with.p10[h], std::max(with.gmv[h] - width, 0.0));
     }
@@ -586,20 +673,20 @@ TEST_F(QuantileBandTest, ServerWrapsPointForecastInBands) {
 TEST_F(QuantileBandTest, DegradedAnswersCarryInflatedBands) {
   auto& faults = util::FaultInjector::Global();
   serving::ModelServer healthy(model_, dataset_, serving::ServerConfig{});
-  healthy.EnableQuantileBands(FlatTable(0.1, 2.0));
+  healthy.EnableQuantileBands(FlatTable(0.2));
   auto model_answer = healthy.Predict(5);
   ASSERT_EQ(model_answer.served_by,
             serving::ModelServer::ServePath::kModel);
 
   ASSERT_TRUE(faults.ArmFromString("serving.forward:nan:1.0").ok());
   serving::ModelServer degraded(model_, dataset_, serving::ServerConfig{});
-  degraded.EnableQuantileBands(FlatTable(0.1, 2.0));
+  degraded.EnableQuantileBands(FlatTable(0.2));
   auto fallback_answer = degraded.Predict(5);
   ASSERT_EQ(fallback_answer.served_by,
             serving::ModelServer::ServePath::kFallback);
   faults.Reset();
 
-  // A fallback answer is honest about being a fallback: same sigma table,
+  // A fallback answer is honest about being a fallback: same table,
   // width inflated by exactly degraded_inflation (1.5 by default).
   ASSERT_EQ(fallback_answer.p90.size(), model_answer.p90.size());
   for (size_t h = 0; h < model_answer.p90.size(); ++h) {
@@ -613,7 +700,7 @@ TEST_F(QuantileBandTest, DegradedAnswersCarryInflatedBands) {
 }
 
 TEST_F(QuantileBandTest, ShardedBandsMatchUnshardedBitwise) {
-  core::QuantileBandTable table = FlatTable(0.15, 1.7);
+  serving::QuantileBandTable table = FlatTable(0.255);
   serving::ModelServer reference(model_, dataset_, serving::ServerConfig{});
   reference.EnableQuantileBands(table);
 

@@ -13,8 +13,7 @@
 # /requestz, /quitz shutdown, plus the tools' --empty dumps), a scenario
 # pass (scenario-labelled regime/drift chaos tests + a randomized adversarial
 # regime with an echoed GAIA_REGIME_SEED that the full simulate/train/serve
-# pipeline must survive), an ASan+UBSan build running the labelled
-# robust/concurrency/golden/obs/cancel/shard/admin/scenario subset, then a
+# pipeline must survive), an ASan+UBSan build running the full suite, then a
 # TSan build running the concurrency/robust/cancel/shard/admin/scenario
 # subset (the concurrency tentpoles' race check), and a benchmark-package
 # pass (gaia_bench's own bench-labelled tests: its TailQuantile unit test
@@ -308,12 +307,11 @@ if [[ "$job" == "scenario" || "$job" == "all" ]]; then
 fi
 
 if [[ "$job" == "sanitize" || "$job" == "all" ]]; then
-  echo "=== ASan+UBSan build + robust/concurrency/golden/obs/cancel/shard/admin/scenario tests ==="
+  echo "=== ASan+UBSan build + full test suite ==="
   cmake -B build-asan -S . -DGAIA_SANITIZE=ON
   cmake --build build-asan -j"$jobs"
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=0 GAIA_OBS=1 \
-    ctest --test-dir build-asan --output-on-failure \
-    -L "robust|concurrency|golden|obs|cancel|shard|admin|scenario" --no-tests=error
+    ctest --test-dir build-asan --output-on-failure -j"$jobs"
 fi
 
 if [[ "$job" == "tsan" || "$job" == "all" ]]; then
