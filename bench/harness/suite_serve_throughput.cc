@@ -1,15 +1,15 @@
 // Sharded-serving layer of the perf suite: concurrent-client QPS through
-// serving::ShardedServer at 1, 2 and 4 shards, plus the micro-batch
-// coalescing path exercised by a burst of same-shard requests. Behind
-// bench/serve_throughput and folded into bench/perf_suite so the CI perf
-// gate (tools/bench_compare) tracks the tier's throughput.
+// serving::ShardedServer at 1, 2 and 4 shards, plus one single-caller
+// batch. Behind bench/serve_throughput and folded into bench/perf_suite so
+// the CI perf gate (tools/bench_compare) tracks the tier's throughput.
 //
 // Each repetition pushes a fixed request stream through a *persistent*
 // sharded server (construction/teardown is measured separately as
 // serve.sharded_spinup) from kClients concurrent client threads, so the
-// measured wall time is the end-to-end answer rate the tier sustains —
-// queue hop, micro-batch window and forward included. items_per_rep is the
-// request count, so gaia.bench/1 carries QPS directly.
+// measured wall time is the end-to-end answer rate the tier sustains.
+// Requests are answered on their client's thread, so the shard count only
+// relabels them; the three QPS cases should read the same. items_per_rep is
+// the request count, so gaia.bench/1 carries QPS directly.
 
 #include <atomic>
 #include <map>
@@ -33,9 +33,8 @@ constexpr int kClients = 4;
 constexpr int kRequestsPerRep = 64;
 
 /// Same 200-shop market as the deployment suite; one persistent
-/// ShardedServer per benchmarked shard count. The servers pin the pool to
-/// the process default once (shard workers serve inline, so pool size only
-/// matters for any unsharded comparison running in the same process).
+/// ShardedServer per benchmarked shard count. Predict serves inline on the
+/// client thread, so pool size only matters for the batch case.
 struct ServeThroughputFixture {
   ServeThroughputFixture() {
     data::MarketConfig cfg;
@@ -64,8 +63,6 @@ struct ServeThroughputFixture {
     if (it != servers.end()) return *it->second;
     serving::ShardedServerConfig cfg;
     cfg.num_shards = shards;
-    cfg.max_batch = 8;
-    cfg.max_wait_us = 100.0;
     auto server =
         std::make_unique<serving::ShardedServer>(model, dataset, cfg);
     auto* raw = server.get();
@@ -115,7 +112,7 @@ void RegisterServeThroughputCases(Harness& harness) {
         options);
   }
   {
-    // Single-caller batch through the sharded tier: the coalescing path the
+    // Single-caller batch through the sharded tier: the pool fan-out the
     // monthly sweep uses, directly comparable to deployment.predict_batch_32.
     CaseOptions options{{"serve_throughput"}, 32, -1, -1};
     harness.AddCase(
@@ -129,7 +126,7 @@ void RegisterServeThroughputCases(Harness& harness) {
         options);
   }
   {
-    // Tier spin-up/teardown: K worker threads + queues + one generation.
+    // Tier spin-up/teardown: one generation and K shard counters.
     CaseOptions options{{"serve_throughput"}, 0, -1, -1};
     harness.AddCase(
         "serve.sharded_spinup_4",

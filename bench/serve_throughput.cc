@@ -1,92 +1,19 @@
 // Sharded serving throughput driver: QPS and tail wall time vs shard count
-// through serving::ShardedServer, with the standard harness flags plus
-//
-//   --check-scaling   exit non-zero unless 4 shards deliver >= 2x the QPS
-//                     of 1 shard. Only enforced on multi-core hosts: shard
-//                     workers are real threads, so a single-core runner is
-//                     legitimately flat and the check degrades to a report.
+// through serving::ShardedServer, with the standard harness flags.
 //
 //   ./build/bench/serve_throughput --json BENCH_serve.json
-//   ./build/bench/serve_throughput --check-scaling --reps 5
+//   ./build/bench/serve_throughput --reps 5
 //
 // The gaia.bench/1 JSON is the same document bench/perf_suite embeds, so
 // tools/bench_compare gates these cases in CI like every other layer.
 
-#include <cstdio>
-#include <cstring>
-#include <string>
-#include <thread>
-#include <vector>
-
 #include "bench/harness/suites.h"
-
-namespace {
-
-using gaia::bench::harness::CaseResult;
-
-/// Median QPS of a named case (0 when absent or unmeasured).
-double CaseQps(const std::vector<CaseResult>& results,
-               const std::string& name) {
-  for (const CaseResult& result : results) {
-    if (result.name != name || result.items_per_rep <= 0) continue;
-    const double median_ns = result.wall_ns.median;
-    if (median_ns <= 0.0) return 0.0;
-    return static_cast<double>(result.items_per_rep) * 1e9 / median_ns;
-  }
-  return 0.0;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace gaia::bench::harness;
-  // Peel off --check-scaling before the shared parser (it rejects flags it
-  // does not know).
-  bool check_scaling = false;
-  std::vector<char*> passthrough;
-  passthrough.reserve(static_cast<size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-scaling") == 0) {
-      check_scaling = true;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
   DriverOptions options;
-  if (!ParseDriverFlags(static_cast<int>(passthrough.size()),
-                        passthrough.data(), &options)) {
-    return 2;
-  }
+  if (!ParseDriverFlags(argc, argv, &options)) return 2;
   Harness harness(options.run);
   RegisterServeThroughputCases(harness);
-  const int exit_code = RunDriver(harness, options);
-  if (exit_code != 0 || options.list || !check_scaling) return exit_code;
-
-  const double qps_1 = CaseQps(harness.results(), "serve.sharded_qps_1");
-  const double qps_4 = CaseQps(harness.results(), "serve.sharded_qps_4");
-  if (qps_1 <= 0.0 || qps_4 <= 0.0) {
-    std::fprintf(stderr,
-                 "check-scaling: QPS cases missing from this run "
-                 "(--filter too narrow?)\n");
-    return 1;
-  }
-  const double speedup = qps_4 / qps_1;
-  const unsigned cores = std::thread::hardware_concurrency();
-  std::printf("check-scaling: %.0f -> %.0f QPS (%.2fx) at 4 shards, %u "
-              "core(s)\n",
-              qps_1, qps_4, speedup, cores);
-  if (cores < 4) {
-    // Shard workers are OS threads; without cores to run them, flat is the
-    // correct answer, not a regression.
-    std::printf("check-scaling: single/low-core host, threshold waived\n");
-    return 0;
-  }
-  if (speedup < 2.0) {
-    std::fprintf(stderr,
-                 "check-scaling: FAIL — expected >= 2x QPS at 4 shards vs "
-                 "1, got %.2fx\n",
-                 speedup);
-    return 1;
-  }
-  return 0;
+  return RunDriver(harness, options);
 }

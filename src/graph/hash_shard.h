@@ -7,8 +7,8 @@ namespace gaia::graph {
 
 /// \brief Serving shard of e-seller `node`: splitmix64(node) % num_shards.
 ///
-/// The sharded serving tier routes each request to this shard's worker, so
-/// the assignment is a pure function of the node id — stable across
+/// The sharded serving tier counts and logs each request under this shard,
+/// so the assignment is a pure function of the node id — stable across
 /// processes and restarts, independent of request order. The id is mixed
 /// before the modulo so contiguous shop ids (the simulator allocates them
 /// densely) spread across shards instead of striping. Pre: num_shards >= 1.

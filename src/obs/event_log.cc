@@ -128,8 +128,6 @@ void AppendRecordJson(const EventRecord& record, std::string* out) {
   *out += (record.served_by == 0 ? "model" : "fallback");
   *out += "\",\"cancelled\":";
   *out += (record.cancelled != 0 ? "true" : "false");
-  *out += ",\"queue_wait_ms\":";
-  AppendDouble(record.queue_wait_ms, out);
   *out += ",\"latency_ms\":";
   AppendDouble(record.latency_ms, out);
   *out += ",\"reason\":\"";

@@ -4,7 +4,7 @@
 // Request-scoped event log: a bounded lock-free ring of structured records
 // that acts as a black-box flight recorder for the serving tier.  Every
 // served (or cancelled) request appends one EventRecord carrying its
-// splitmix64-derived request id, the shop, how it was served, queue wait and
+// splitmix64-derived request id, the shop, how it was served and its
 // latency — so a live /requestz scrape (or a post-mortem JSON dump) can
 // answer "why did request X degrade?" without logs or a debugger.
 //
@@ -24,11 +24,10 @@
 namespace gaia::obs {
 
 // Per-request correlation state threaded through the serving call chain.
-// Created at the edge (ShardedServer::Submit or a direct Predict call) and
-// passed down so the final EventRecord carries queue time and shard routing.
+// Created at the edge (ShardedServer::Predict or a direct ModelServer call)
+// and passed down so the final EventRecord carries the shard routing.
 struct RequestContext {
   uint64_t request_id = 0;
-  double queue_wait_ms = 0.0;
   int32_t shard = -1;
 };
 
@@ -40,8 +39,7 @@ struct EventRecord {
   int32_t shop = -1;
   int32_t shard = -1;       // -1 for unsharded serving
   uint32_t served_by = 0;   // 0 = model, 1 = fallback
-  uint32_t cancelled = 0;   // 1 if the request was cancelled before serving
-  double queue_wait_ms = 0.0;
+  uint32_t cancelled = 0;   // 1 if the caller's cancel token aborted it
   double latency_ms = 0.0;
   char reason[40] = {};     // degraded_reason, truncated; empty if clean
 };

@@ -77,6 +77,10 @@ struct CancelServeMetrics {
   }
 };
 
+/// degraded_reason of a request whose caller's own token (installed with
+/// util::CancelScope around the call) aborted the forward.
+constexpr char kCallerCancelledReason[] = "cancelled by caller";
+
 std::string DeadlineReason(double deadline_ms, const char* detail) {
   return "deadline_exceeded (budget " + std::to_string(deadline_ms) +
          " ms, " + detail + ")";
@@ -116,7 +120,8 @@ void LogServedRequest(const ModelServer::Prediction& prediction,
   record.shard = ctx.shard;
   record.served_by =
       prediction.served_by == ModelServer::ServePath::kFallback ? 1u : 0u;
-  record.queue_wait_ms = ctx.queue_wait_ms;
+  record.cancelled =
+      prediction.degraded_reason == kCallerCancelledReason ? 1u : 0u;
   record.latency_ms = prediction.latency_ms;
   std::strncpy(record.reason, prediction.degraded_reason.c_str(),
                sizeof(record.reason) - 1);
@@ -176,9 +181,17 @@ ModelServer::Prediction ModelServer::PredictOne(
   std::string reason;
   bool model_ok = false;
   Tensor normalized;
+  // The caller's token, if any: work it aborts (ego extraction or forward)
+  // was cancelled, not failed or overrun, so it is reported apart.
+  const util::CancelToken* caller = util::CancelToken::Current();
   if (ego.nodes.empty()) {
-    reason = "ego-subgraph extraction failed";
-    RobustMetrics::Get().ego_failures.Increment();
+    if (caller != nullptr && caller->Cancelled()) {
+      reason = kCallerCancelledReason;
+      util::NoteCancelObserved();
+    } else {
+      reason = "ego-subgraph extraction failed";
+      RobustMetrics::Get().ego_failures.Increment();
+    }
   } else {
     util::FaultInjector& faults = util::FaultInjector::Global();
     // Arm the latency budget *before* the forward: the token is installed
@@ -188,8 +201,7 @@ ModelServer::Prediction ModelServer::PredictOne(
     std::shared_ptr<util::CancelToken> token;
     std::optional<util::CancelScope> scope;
     if (deadline_ms > 0.0 && config_.cooperative_cancel) {
-      token = util::CancelToken::Child(util::CancelToken::Current(),
-                                       deadline_ms);
+      token = util::CancelToken::Child(caller, deadline_ms);
       scope.emplace(token.get());
     }
     std::optional<util::FaultKind> fault;
@@ -216,9 +228,13 @@ ModelServer::Prediction ModelServer::PredictOne(
     } else {
       Result<Tensor> forward = model_->PredictEgo(*dataset_, ego);
       if (!forward.ok()) {
-        // kCancelled: the token fired and the forward unwound mid-flight.
-        reason = DeadlineReason(deadline_ms, "aborted mid-forward");
-        RobustMetrics::Get().deadline.Increment();
+        // kCancelled: a token fired and the forward unwound mid-flight.
+        if (caller != nullptr && caller->Cancelled()) {
+          reason = kCallerCancelledReason;
+        } else {
+          reason = DeadlineReason(deadline_ms, "aborted mid-forward");
+          RobustMetrics::Get().deadline.Increment();
+        }
         util::NoteCancelObserved();
         // Estimate the wall-clock the abort saved against the running mean
         // of successful forwards (the counterfactual is never run).

@@ -136,7 +136,7 @@ class ModelServer {
   Prediction Predict(int32_t shop, double deadline_ms);
 
   /// The stateless request pipeline behind Predict/PredictBatch and the
-  /// sharded tier's shard workers: per-request ego extraction (RNG derived
+  /// sharded tier: per-request ego extraction (RNG derived
   /// from (config.seed, shop)) followed by the guarded forward. Const and
   /// thread-safe — any number of threads may call it concurrently — and it
   /// does not touch the per-server request totals, so callers that need
@@ -145,11 +145,15 @@ class ModelServer {
   Prediction Serve(int32_t shop, double deadline_ms) const;
 
   /// Same pipeline with caller-provided request correlation: the context's
-  /// request id is stamped on the Prediction and, together with queue wait
-  /// and shard routing, into obs::EventLog::Global() (one lock-free append,
-  /// skipped entirely when the log is disabled). The sharded tier threads
-  /// its queue items through here so /requestz can answer "why did request
-  /// X degrade?". Forecast bytes are identical to the two-arg overload.
+  /// request id is stamped on the Prediction and, together with the shard
+  /// routing, into obs::EventLog::Global() (one lock-free append, skipped
+  /// entirely when the log is disabled). The sharded tier serves through
+  /// here so /requestz can answer "why did request X degrade?". Forecast
+  /// bytes are identical to the two-arg overload.
+  /// A token the caller installed with util::CancelScope is the parent of
+  /// the deadline token: once it fires, the forward aborts at its next
+  /// check and the request degrades with degraded_reason
+  /// "cancelled by caller" (EventRecord::cancelled = 1).
   Prediction Serve(int32_t shop, double deadline_ms,
                    const obs::RequestContext& ctx) const;
 
@@ -183,6 +187,9 @@ class ModelServer {
   /// Errors: empty or out-of-range shops, coverage outside (0, 1), a
   /// (group, month) cell with too few shops to carry the guarantee
   /// (ceil((n+1)*coverage) > n), or any answer from the fallback rung.
+  /// That rule sets a floor: every (group, month) cell needs
+  /// n >= coverage / (1 - coverage) calibration shops, which is 4 at 0.8
+  /// and 9 at 0.9.
   Result<QuantileBandTable> CalibrateQuantileBands(
       const std::vector<int32_t>& calibration_nodes, double coverage) const;
 

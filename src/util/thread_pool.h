@@ -87,9 +87,9 @@ class ThreadPool {
   /// parallel region, forcing every nested ParallelFor to run inline
   /// serially instead of dispatching to the global pool.
   ///
-  /// Long-lived service threads (the sharded server's per-shard workers) use
-  /// this so K shards can run K forwards truly concurrently: without it each
-  /// worker would submit to the one global pool and serialize on its submit
+  /// Serving threads (each caller of ShardedServer::Predict) use this so K
+  /// callers can run K forwards truly concurrently: without it each caller
+  /// would submit to the one global pool and serialize on its submit
   /// mutex. The inline path is the exact serial path, so results stay
   /// bitwise identical (parallel_determinism_test's guarantee).
   class InlineScope {

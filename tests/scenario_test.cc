@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/evaluator.h"
@@ -34,6 +35,7 @@
 #include "serving/monthly_scheduler.h"
 #include "serving/sharded_server.h"
 #include "util/fault_injector.h"
+#include "util/status.h"
 
 namespace gaia {
 namespace {
@@ -641,6 +643,45 @@ TEST_F(QuantileBandTest, CalibratedBandsCoverHeldOutTargets) {
   EXPECT_FALSE(degraded.ok());
 }
 
+TEST_F(QuantileBandTest, CoverageNineTenthsNeedsNineShopsPerCell) {
+  // k = ceil((n + 1) * coverage) <= n holds iff n >= coverage / (1 -
+  // coverage): at 0.9 a (group, month) cell calibrates from 9 shops (k = 9)
+  // and is refused at 8 (k = 9 > 8), naming its group and month.
+  constexpr double kCoverage = 0.9;
+  serving::ModelServer server(model_, dataset_, serving::ServerConfig{});
+  std::array<std::vector<int32_t>, 2> by_group;
+  for (int32_t shop = 0; shop < dataset_->num_nodes(); ++shop) {
+    by_group[static_cast<size_t>(serving::QuantileBandTable::Group(
+                 dataset_->series_length(shop)))]
+        .push_back(shop);
+  }
+  for (auto& group : by_group) {
+    ASSERT_GE(group.size(), 9u);
+    group.resize(9);
+  }
+  const auto calibrate = [&](size_t new_shops, size_t old_shops) {
+    std::vector<int32_t> nodes(by_group[0].begin(),
+                               by_group[0].begin() + new_shops);
+    nodes.insert(nodes.end(), by_group[1].begin(),
+                 by_group[1].begin() + old_shops);
+    return server.CalibrateQuantileBands(nodes, kCoverage);
+  };
+  auto nine = calibrate(9, 9);
+  ASSERT_TRUE(nine.ok()) << nine.status().ToString();
+  EXPECT_EQ(nine.value().coverage, kCoverage);
+  for (const auto& [new_shops, old_shops, message] :
+       {std::tuple{size_t{8}, size_t{9}, "new-shop band for month +1"},
+        std::tuple{size_t{9}, size_t{8}, "old-shop band for month +1"}}) {
+    auto refused = calibrate(new_shops, old_shops);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.status().ToString().find(message), std::string::npos)
+        << refused.status().ToString();
+    EXPECT_NE(refused.status().ToString().find("needs 9"), std::string::npos)
+        << refused.status().ToString();
+  }
+}
+
 TEST_F(QuantileBandTest, ServerWrapsPointForecastInBands) {
   serving::ModelServer plain(model_, dataset_, serving::ServerConfig{});
   serving::ModelServer banded(model_, dataset_, serving::ServerConfig{});
@@ -722,7 +763,6 @@ TEST_F(QuantileBandTest, ShardedBandsMatchUnshardedBitwise) {
       EXPECT_EQ(actual[i].p90[h], expected[i].p90[h]);
     }
   }
-  sharded.Stop();
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Sharded serving tier: micro-batch queue mechanics, exactly-once delivery
-// under a multi-threaded hammer, bitwise equality with the unsharded server
-// at any shard/thread count, RCU checkpoint swap (readers observe old or new
-// weights, never a torn mix), checkpoint-store manifest adoption/rollback and
-// the cross-process publish lock. Registered under the ctest label "shard";
-// CI runs the suite under both ASan and TSan.
+// Sharded serving tier: exactly-once delivery under a multi-threaded
+// hammer, bitwise equality with the unsharded server at any shard/thread
+// count, caller cancellation, RCU checkpoint swap (readers and whole batches
+// observe old or new weights, never a torn mix), checkpoint-store manifest
+// adoption/rollback and the cross-process publish lock. Registered under
+// the ctest label "shard"; CI runs the suite under both ASan and TSan.
 //
 // Tests that arm the process-global FaultInjector reset it on exit; ctest
 // runs each test in its own process, so armed faults never leak.
@@ -35,7 +35,6 @@
 #include "serving/sharded_server.h"
 #include "util/cancel.h"
 #include "util/fault_injector.h"
-#include "util/mpmc_queue.h"
 #include "util/thread_pool.h"
 
 namespace gaia {
@@ -44,70 +43,6 @@ namespace {
 using serving::ModelServer;
 using serving::ShardedServer;
 using serving::ShardedServerConfig;
-
-// ---------------------------------------------------------------------------
-// MpmcQueue
-// ---------------------------------------------------------------------------
-
-TEST(MpmcQueueTest, PopsInFifoOrder) {
-  util::MpmcQueue<int> queue(8);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(queue.TryPush(std::move(i)));
-  for (int i = 0; i < 5; ++i) {
-    auto item = queue.Pop();
-    ASSERT_TRUE(item.has_value());
-    EXPECT_EQ(*item, i);
-  }
-}
-
-TEST(MpmcQueueTest, BackpressureBoundsDepthAndDeliversEverything) {
-  util::MpmcQueue<int> queue(2);
-  std::thread producer([&] {
-    for (int i = 0; i < 20; ++i) ASSERT_TRUE(queue.Push(std::move(i)));
-  });
-  std::vector<int> received;
-  while (received.size() < 20) {
-    EXPECT_LE(queue.size(), 2u);  // never exceeds capacity
-    auto item = queue.Pop();
-    ASSERT_TRUE(item.has_value());
-    received.push_back(*item);
-  }
-  producer.join();
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(received[static_cast<size_t>(i)], i);
-}
-
-TEST(MpmcQueueTest, CloseDrainsBufferedItemsThenEnds) {
-  util::MpmcQueue<int> queue(8);
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(queue.TryPush(std::move(i)));
-  queue.Close();
-  for (int i = 0; i < 3; ++i) {
-    auto item = queue.Pop();
-    ASSERT_TRUE(item.has_value()) << "accepted item dropped at close";
-    EXPECT_EQ(*item, i);
-  }
-  EXPECT_FALSE(queue.Pop().has_value());  // drained: end of stream
-}
-
-TEST(MpmcQueueTest, PushAfterCloseFailsAndLeavesItemWithCaller) {
-  util::MpmcQueue<std::unique_ptr<int>> queue(4);
-  queue.Close();
-  auto item = std::make_unique<int>(42);
-  EXPECT_FALSE(queue.Push(std::move(item)));
-  // The rejected item must survive so the caller can answer it inline.
-  ASSERT_NE(item, nullptr);
-  EXPECT_EQ(*item, 42);
-}
-
-TEST(MpmcQueueTest, PopUntilExpiresOnEmptyQueue) {
-  util::MpmcQueue<int> queue(4);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(5);
-  EXPECT_FALSE(queue.PopUntil(deadline).has_value());
-  EXPECT_GE(std::chrono::steady_clock::now(), deadline);
-}
-
-// ---------------------------------------------------------------------------
-// Fixture
-// ---------------------------------------------------------------------------
 
 class ShardedServingTest : public ::testing::Test {
  protected:
@@ -192,7 +127,6 @@ TEST_F(ShardedServingTest, PredictBatchBitwiseEqualAtAnyShardAndThreadCount) {
       util::ThreadPool::SetGlobalThreads(num_threads);
       ShardedServerConfig cfg;
       cfg.num_shards = num_shards;
-      cfg.max_batch = 4;
       ShardedServer sharded(MakeModel(), dataset_, cfg);
       const std::vector<ModelServer::Prediction> got =
           sharded.PredictBatch(shops);
@@ -208,17 +142,15 @@ TEST_F(ShardedServingTest, PredictBatchBitwiseEqualAtAnyShardAndThreadCount) {
 }
 
 TEST_F(ShardedServingTest, RandomizedInterleavingsStayBitwiseIdentical) {
-  // Property test: whatever order concurrent clients issue requests in —
-  // and therefore however the micro-batch windows slice them — every answer
-  // equals the single-shard, single-caller reference for that shop.
+  // Property test: whatever order concurrent clients issue requests in,
+  // every answer equals the single-shard, single-caller reference for that
+  // shop.
   const std::vector<int32_t> shops = AllShops();
   ModelServer reference(MakeModel(), dataset_, serving::ServerConfig{});
   const std::vector<ModelServer::Prediction> want =
       reference.PredictBatch(shops);
   ShardedServerConfig cfg;
   cfg.num_shards = 4;
-  cfg.max_batch = 3;
-  cfg.max_wait_us = 100.0;
   ShardedServer sharded(MakeModel(), dataset_, cfg);
   constexpr int kClients = 4;
   std::vector<std::thread> clients;
@@ -247,14 +179,12 @@ TEST_F(ShardedServingTest, RandomizedInterleavingsStayBitwiseIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Hammer: exactly-once delivery and window flush triggers
+// Hammer: exactly-once delivery
 // ---------------------------------------------------------------------------
 
 TEST_F(ShardedServingTest, HammerAnswersEveryRequestExactlyOnce) {
   ShardedServerConfig cfg;
   cfg.num_shards = 4;
-  cfg.max_batch = 4;
-  cfg.max_wait_us = 200.0;
   ShardedServer sharded(MakeModel(), dataset_, cfg);
   constexpr int kClients = 8;
   constexpr int kPerClient = 40;
@@ -277,96 +207,60 @@ TEST_F(ShardedServingTest, HammerAnswersEveryRequestExactlyOnce) {
   EXPECT_EQ(answered.load(), kClients * kPerClient);
   EXPECT_EQ(wrong_shop.load(), 0);
   EXPECT_EQ(sharded.total_requests(), kClients * kPerClient);
-  sharded.Stop();
-  EXPECT_EQ(sharded.total_requests(), kClients * kPerClient);
 }
 
-TEST_F(ShardedServingTest, WindowFlushesOnMaxBatchLongBeforeMaxWait) {
+// ---------------------------------------------------------------------------
+// Caller cancellation
+// ---------------------------------------------------------------------------
+
+TEST_F(ShardedServingTest, CancelledWhileQueuedIsDroppedBeforeForward) {
+  // A token that fired before Predict degrades that request alone: it is
+  // answered by the fallback, counted once as an observed cancel, and the
+  // concurrent callers' answers stay bitwise equal to the unsharded server.
+  const std::vector<int32_t> shops = {3, 17, 42};
+  ModelServer reference(MakeModel(), dataset_, serving::ServerConfig{});
+  std::vector<ModelServer::Prediction> want;
+  for (int32_t shop : shops) want.push_back(reference.Predict(shop));
   ShardedServerConfig cfg;
-  cfg.num_shards = 1;  // one queue: all requests coalesce
-  cfg.max_batch = 3;
-  cfg.max_wait_us = 60e6;  // 60 s: a timeout flush would blow the alarm below
+  cfg.num_shards = 2;
   ShardedServer sharded(MakeModel(), dataset_, cfg);
-  const auto start = std::chrono::steady_clock::now();
-  // 6 concurrent requests = two full windows of 3. If the max_batch flush
-  // were broken, each window would sit out the full 60 s wait.
-  std::vector<std::thread> clients;
-  std::atomic<int> answered{0};
-  for (int c = 0; c < 6; ++c) {
-    clients.emplace_back([&, c] {
-      sharded.Predict(static_cast<int32_t>(c));
-      answered.fetch_add(1);
-    });
+  const uint64_t observed_before = obs::MetricsRegistry::Global().CounterValue(
+      "gaia_cancel_observed_total");
+  util::CancelToken token;
+  token.Cancel();
+  std::vector<ModelServer::Prediction> got(shops.size());
+  ModelServer::Prediction cancelled;
+  std::vector<std::thread> callers;
+  for (size_t i = 0; i < shops.size(); ++i) {
+    callers.emplace_back([&, i] { got[i] = sharded.Predict(shops[i]); });
   }
-  for (auto& t : clients) t.join();
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  EXPECT_EQ(answered.load(), 6);
-  EXPECT_LT(elapsed_s, 30.0) << "batch flush did not fire on max_batch";
+  callers.emplace_back([&] { cancelled = sharded.Predict(7, 0.0, &token); });
+  for (auto& t : callers) t.join();
+
+  EXPECT_EQ(cancelled.served_by, ModelServer::ServePath::kFallback);
+  EXPECT_EQ(cancelled.degraded_reason, "cancelled by caller");
+  ASSERT_EQ(static_cast<int64_t>(cancelled.gmv.size()), dataset_->horizon());
+  EXPECT_EQ(obs::MetricsRegistry::Global().CounterValue(
+                "gaia_cancel_observed_total"),
+            observed_before + 1);
+  for (size_t i = 0; i < shops.size(); ++i) ExpectBitwise(got[i], want[i]);
+  // The token belonged to that one call: the same shop served without it is
+  // answered by the model again.
+  ExpectBitwise(sharded.Predict(7), reference.Predict(7));
 }
 
-TEST_F(ShardedServingTest, WindowFlushesOnMaxWaitWhenBatchNeverFills) {
-  ShardedServerConfig cfg;
-  cfg.num_shards = 1;
-  cfg.max_batch = 100;     // unreachable with 2 requests
-  cfg.max_wait_us = 2000;  // 2 ms window
-  ShardedServer sharded(MakeModel(), dataset_, cfg);
-  const auto start = std::chrono::steady_clock::now();
-  std::thread other([&] { sharded.Predict(1); });
-  const ModelServer::Prediction p = sharded.Predict(2);
-  other.join();
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  EXPECT_EQ(p.shop, 2);
-  EXPECT_FALSE(p.gmv.empty());
-  // An under-filled window must flush on the wait budget, not hang until
-  // more traffic arrives (there is none).
-  EXPECT_LT(elapsed_s, 30.0) << "window did not flush on max_wait_us";
-}
-
-// ---------------------------------------------------------------------------
-// Deadlines and cancellation in the queue
-// ---------------------------------------------------------------------------
-
-TEST_F(ShardedServingTest, DeadlineConsumedInQueueDegradesToFallback) {
+TEST_F(ShardedServingTest, TinyDeadlineDegradesToFallback) {
+  // The per-request budget reaches Serve's deadline token: 100 ns cannot
+  // cover ego extraction + forward, so the request degrades.
   ShardedServerConfig cfg;
   cfg.num_shards = 1;
   ShardedServer sharded(MakeModel(), dataset_, cfg);
-  // 100 ns budget: consumed before the window opens, always.
   const ModelServer::Prediction p = sharded.Predict(5, /*deadline_ms=*/1e-4);
   EXPECT_EQ(p.served_by, ModelServer::ServePath::kFallback);
   EXPECT_NE(p.degraded_reason.find("deadline_exceeded"), std::string::npos)
       << p.degraded_reason;
-  EXPECT_NE(p.degraded_reason.find("queued"), std::string::npos)
-      << p.degraded_reason;
   ASSERT_EQ(static_cast<int64_t>(p.gmv.size()), dataset_->horizon());
-}
-
-TEST_F(ShardedServingTest, CancelledWhileQueuedIsDroppedBeforeForward) {
-  const uint64_t observed_before = obs::MetricsRegistry::Global().CounterValue(
-      "gaia_cancel_observed_total");
-  const uint64_t dropped_before = obs::MetricsRegistry::Global().CounterValue(
-      "gaia_serve_cancelled_in_queue_total");
-  ShardedServerConfig cfg;
-  cfg.num_shards = 1;
-  ShardedServer sharded(MakeModel(), dataset_, cfg);
-  util::CancelToken token;
-  token.Cancel();  // fired before the request ever reaches its window
-  const ModelServer::Prediction p = sharded.Predict(7, 0.0, &token);
-  EXPECT_EQ(p.served_by, ModelServer::ServePath::kFallback);
-  EXPECT_EQ(p.degraded_reason, "cancelled while queued");
-  EXPECT_GT(obs::MetricsRegistry::Global().CounterValue(
-                "gaia_cancel_observed_total"),
-            observed_before);
-  EXPECT_GT(obs::MetricsRegistry::Global().CounterValue(
-                "gaia_serve_cancelled_in_queue_total"),
-            dropped_before);
-  // The drop is per-request: the same shop served without a token is still
-  // answered by the model, bitwise equal to the unsharded reference.
-  ModelServer reference(MakeModel(), dataset_, serving::ServerConfig{});
-  ExpectBitwise(sharded.Predict(7), reference.Predict(7));
+  EXPECT_EQ(sharded.fallback_requests(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -391,7 +285,6 @@ TEST_F(ShardedServingTest, CheckpointSwapNeverTearsConcurrentReads) {
 
   ShardedServerConfig cfg;
   cfg.num_shards = 2;
-  cfg.max_batch = 4;
   ShardedServer sharded(MakeModel(1), dataset_, cfg);
   EXPECT_EQ(sharded.epoch(), 0);
 
@@ -430,6 +323,74 @@ TEST_F(ShardedServingTest, CheckpointSwapNeverTearsConcurrentReads) {
     ExpectBitwise(sharded.Predict(shop),
                   want_b[static_cast<size_t>(shop)]);
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(ShardedServingTest, PredictBatchAnswersFromOneGenerationPerBatch) {
+  // PredictBatch pins one generation for the whole batch: while a publisher
+  // flips A <-> B in a loop, each batch's answers all byte-equal one
+  // generation's reference answers, never a mix of the two.
+  const std::string dir = TempDir("batch_swap");
+  std::filesystem::create_directories(dir);
+  const std::string ckpt_a = dir + "/gen_a.bin";
+  const std::string ckpt_b = dir + "/gen_b.bin";
+  std::shared_ptr<core::GaiaModel> model_a = MakeModel(1);
+  std::shared_ptr<core::GaiaModel> model_b = MakeModel(99);
+  ASSERT_TRUE(model_a->Save(ckpt_a).ok());
+  ASSERT_TRUE(model_b->Save(ckpt_b).ok());
+
+  const std::vector<int32_t> shops = AllShops();
+  ModelServer ref_a(model_a, dataset_, serving::ServerConfig{});
+  ModelServer ref_b(model_b, dataset_, serving::ServerConfig{});
+  const auto want_a = ref_a.PredictBatch(shops);
+  const auto want_b = ref_b.PredictBatch(shops);
+  const auto matches = [](const std::vector<ModelServer::Prediction>& got,
+                          const std::vector<ModelServer::Prediction>& want) {
+    for (size_t i = 0; i < want.size(); ++i) {
+      if (got[i].gmv.size() != want[i].gmv.size() ||
+          std::memcmp(got[i].gmv.data(), want[i].gmv.data(),
+                      want[i].gmv.size() * sizeof(double)) != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  ShardedServerConfig cfg;
+  cfg.num_shards = 4;
+  ShardedServer sharded(MakeModel(1), dataset_, cfg);
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> failed_loads{0};
+  std::thread publisher([&] {
+    for (int round = 0; !stop.load(std::memory_order_relaxed); ++round) {
+      if (!sharded.LoadCheckpoint(round % 2 == 0 ? ckpt_b : ckpt_a).ok()) {
+        failed_loads.fetch_add(1);
+      }
+    }
+  });
+  int batches_a = 0;
+  int batches_b = 0;
+  int mixed = 0;
+  for (int batch = 0; batch < 200 && (batches_a < 4 || batches_b < 4);
+       ++batch) {
+    const std::vector<ModelServer::Prediction> got =
+        sharded.PredictBatch(shops);
+    ASSERT_EQ(got.size(), shops.size());
+    if (matches(got, want_a)) {
+      ++batches_a;
+    } else if (matches(got, want_b)) {
+      ++batches_b;
+    } else {
+      ++mixed;
+    }
+  }
+  stop.store(true);
+  publisher.join();
+  EXPECT_EQ(mixed, 0) << "a batch mixed answers from two generations ("
+                      << batches_a << " batches on A, " << batches_b
+                      << " on B)";
+  EXPECT_EQ(failed_loads.load(), 0);
+  EXPECT_GT(sharded.epoch(), 0) << "the publisher never flipped";
   std::filesystem::remove_all(dir);
 }
 

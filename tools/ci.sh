@@ -5,12 +5,10 @@
 # + randomized-seed chaos serve/train and a sharded chaos storm under
 # GAIA_FAULTS), a perf pass (kernel-equivalence tests, then a bench/harness
 # small-scale run gated by tools/bench_compare including the packed-vs-naive
-# MatMul pair check; see docs/BENCHMARKING.md and docs/PERFORMANCE.md), a
-# sharded-serving pass
-# (shard-labelled concurrency tests + multi-shard CLI smoke + throughput
-# scaling check), an admin-plane pass (admin-labelled tests + a live
-# serve with --admin-port driven over HTTP: /healthz flip, /metrics scrape,
-# /requestz, /quitz shutdown, plus the tools' --empty dumps), a scenario
+# MatMul pair check; see docs/BENCHMARKING.md and docs/PERFORMANCE.md), an
+# admin-plane pass (admin-labelled tests + a live serve with --admin-port
+# driven over HTTP: /healthz flip, /metrics scrape, /requestz, /quitz
+# shutdown, plus the tools' --empty dumps), a scenario
 # pass (scenario-labelled regime/drift chaos tests + a randomized adversarial
 # regime with an echoed GAIA_REGIME_SEED that the full simulate/train/serve
 # pipeline must survive), an ASan+UBSan build running the full suite, then a
@@ -25,7 +23,6 @@
 #   tools/ci.sh obs        # observability job only (reuses build/)
 #   tools/ci.sh robust     # robustness job only (reuses build/)
 #   tools/ci.sh perf       # perf job only (reuses build/)
-#   tools/ci.sh shard      # sharded-serving job only (reuses build/)
 #   tools/ci.sh admin      # admin-plane job only (reuses build/)
 #   tools/ci.sh scenario   # scenario/chaos regime job only (reuses build/)
 #   tools/ci.sh sanitize   # ASan+UBSan job only
@@ -166,28 +163,6 @@ EOF
   tools/bench_compare bench/baselines/small.json BENCH_perf.json \
     --rel-tol 1.5 --mad-mult 8 --min-ns 500000 --missing-ok \
     --require-faster "tensor.matmul_naive_256:tensor.matmul_packed_256:${pair_factor}"
-fi
-
-if [[ "$job" == "shard" || "$job" == "all" ]]; then
-  echo "=== Sharded serving: shard tests + multi-shard CLI smoke + scaling ==="
-  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build build -j"$jobs"
-  # The queue/window/RCU/chaos concurrency suite (tests/sharded_serving_test).
-  ctest --test-dir build --output-on-failure -L shard --no-tests=error -j"$jobs"
-  # End-to-end smoke: concurrent clients against a 4-shard tier over a real
-  # trained checkpoint.
-  shard_dir=$(mktemp -d)
-  ./build/tools/gaia_cli simulate --out "$shard_dir/market" --shops 80 \
-    --history 18 --seed 7
-  ./build/tools/gaia_cli train --market "$shard_dir/market" \
-    --checkpoint "$shard_dir/ckpt.bin" --epochs 3 --channels 8 --layers 1
-  ./build/tools/gaia_cli serve --market "$shard_dir/market" \
-    --checkpoint "$shard_dir/ckpt.bin" --requests 200 --channels 8 --layers 1 \
-    --shards 4 --clients 4
-  rm -rf "$shard_dir"
-  # Throughput vs shard count; the >=2x-at-4-shards bar is enforced only on
-  # multi-core hosts (single-core runners are legitimately flat).
-  ./build/bench/serve_throughput --reps 3 --warmup 1 --check-scaling
 fi
 
 if [[ "$job" == "admin" || "$job" == "all" ]]; then

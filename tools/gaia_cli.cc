@@ -18,17 +18,17 @@
 //       [--layers L]
 //       Evaluate a published checkpoint on the market's test split.
 //   gaia_cli serve --market DIR --checkpoint FILE [--requests N]
-//       [--deadline-ms D] [--shards K] [--clients C] [--max-batch B]
-//       [--max-wait-us W] [--metrics-out FILE]
+//       [--deadline-ms D] [--shards K] [--clients C] [--metrics-out FILE]
 //       [--admin-port P] [--admin-wait 1]
 //       Replay N online requests through the model server and report
 //       latency statistics. --deadline-ms arms a per-request budget: an
 //       overrunning forward is aborted mid-flight (cooperative cancel) and
 //       the request degrades to the fallback forecaster. --shards K routes
-//       the replay through the sharded serving tier (K shard workers,
-//       micro-batching; see docs/ARCHITECTURE.md) with --clients C
-//       concurrent client threads hammering it; forecasts are bitwise
-//       identical to the unsharded path.
+//       the replay through the sharded serving tier (each request answered
+//       on its client's thread, counted under one of K shards; see
+//       docs/ARCHITECTURE.md) with --clients C concurrent client threads
+//       hammering it; forecasts are bitwise identical to the unsharded
+//       path.
 //
 // --metrics-out FILE writes the Prometheus metrics export to FILE at exit
 // (chaos/CI runs keep an inspectable artifact). It forces the observability
@@ -422,8 +422,7 @@ int Serve(const Args& args) {
   // Counts and budgets outside their range would divide by zero, fall back
   // to another mode or be clamped without a word; reject them instead.
   const std::pair<const char*, double> minimums[] = {
-      {"requests", 1},  {"shards", 0},      {"clients", 1},
-      {"max-batch", 1}, {"deadline-ms", 0}, {"max-wait-us", 0}};
+      {"requests", 1}, {"shards", 0}, {"clients", 1}, {"deadline-ms", 0}};
   for (const auto& [flag, min] : minimums) {
     if (!args.Has(flag)) continue;
     const double value = args.GetDouble(flag, min);
@@ -452,12 +451,10 @@ int Serve(const Args& args) {
   const auto& shops = dataset->test_nodes();
   const int shards = static_cast<int>(args.GetInt("shards", 0));
   if (shards > 0) {
-    // Sharded tier: K shard workers behind micro-batch queues, hammered by
-    // C concurrent client threads replaying the same request stream.
+    // Sharded tier, hammered by C concurrent client threads replaying the
+    // same request stream; each request is answered on its client's thread.
     serving::ShardedServerConfig sharded_cfg;
     sharded_cfg.num_shards = shards;
-    sharded_cfg.max_batch = static_cast<int>(args.GetInt("max-batch", 8));
-    sharded_cfg.max_wait_us = args.GetDouble("max-wait-us", 200.0);
     sharded_cfg.server = server_cfg;
     serving::ShardedServer server(
         std::shared_ptr<core::GaiaModel>(std::move(model).value()), dataset,
@@ -492,7 +489,6 @@ int Serve(const Args& args) {
     // the replay; the plane must stop before `server` goes out of scope.
     admin.MaybeWait(args);
     admin.Stop();
-    server.Stop();
     return 0;
   }
   serving::ModelServer server(
@@ -563,9 +559,7 @@ int Main(int argc, char** argv) {
              {{"requests", FlagKind::kInt},
               {"deadline-ms", FlagKind::kDouble},
               {"shards", FlagKind::kInt},
-              {"clients", FlagKind::kInt},
-              {"max-batch", FlagKind::kInt},
-              {"max-wait-us", FlagKind::kDouble}}})},
+              {"clients", FlagKind::kInt}}})},
   };
   const std::string command = argv[1];
   const auto spec = std::find_if(
