@@ -125,8 +125,12 @@ Var ConvAttentionUnit::AttendEdges(const Var& q, const Var& k, const Var& v,
   // Every edge writes only its own output rows (and probe slot), so edges
   // fan out freely. Per head, each step reproduces the op-by-op forward it
   // replaces, sum for sum: the naive QK^T (ascending channel, zero query
-  // entries skipped), the scale, the additive causal mask, the row softmax
-  // of SoftmaxRows and the naive A V (zero weights skipped).
+  // entries skipped), the scale, the row softmax of SoftmaxRows and the
+  // naive A V (zero weights skipped). Under the causal mask row i runs over
+  // keys 0..i only. A masked key's weight would be exactly 0.0f, which A V,
+  // the softmax sum and the backward skip or add as an exact zero, so the
+  // triangle gives the bits of the full masked rows; and a non-finite
+  // future key cannot reach an earlier row.
   const int64_t grain =
       std::max<int64_t>(1, kEdgeGrainWork / (2 * tt * c));
   util::ParallelForRange(edges, grain, [&](int64_t e_begin, int64_t e_end) {
@@ -147,27 +151,20 @@ Var ConvAttentionUnit::AttendEdges(const Var& q, const Var& k, const Var& v,
         std::fill(pa, pa + tt, 0.0f);
         for (int64_t i = 0; i < t_len; ++i) {
           float* GAIA_RESTRICT row = pa + i * t_len;
+          const int64_t keys = causal ? i + 1 : t_len;
           for (int64_t p = h * d; p < (h + 1) * d; ++p) {
             const float a = qb[i * c + p];
             if (a == 0.0f) continue;
             const float* GAIA_RESTRICT kr = ktb + p * t_len;
-            for (int64_t j = 0; j < t_len; ++j) row[j] += a * kr[j];
+            for (int64_t j = 0; j < keys; ++j) row[j] += a * kr[j];
           }
-        }
-        for (int64_t x = 0; x < tt; ++x) pa[x] = pa[x] * scale;
-        if (causal) {
-          for (int64_t i = 0; i < t_len; ++i) {
-            for (int64_t j = 0; j < t_len; ++j) {
-              pa[i * t_len + j] += j > i ? kMaskNegInf : 0.0f;
-            }
-          }
-        }
-        for (int64_t i = 0; i < t_len; ++i) {
-          SoftmaxRowInPlace(pa + i * t_len, t_len);
+          for (int64_t j = 0; j < keys; ++j) row[j] = row[j] * scale;
+          SoftmaxRowInPlace(row, keys);
         }
         for (int64_t i = 0; i < t_len; ++i) {
           float* GAIA_RESTRICT orow = ob + i * c + h * d;
-          for (int64_t j = 0; j < t_len; ++j) {
+          const int64_t keys = causal ? i + 1 : t_len;
+          for (int64_t j = 0; j < keys; ++j) {
             const float a = pa[i * t_len + j];
             if (a == 0.0f) continue;
             const float* GAIA_RESTRICT vr = vb + j * c + h * d;
@@ -189,7 +186,7 @@ Var ConvAttentionUnit::AttendEdges(const Var& q, const Var& k, const Var& v,
 
   return ag::MakeOp(
       std::move(out), {q, k, v},
-      [probs, dst, src, t_len, heads, d, scale](ag::AutogradNode& n) {
+      [probs, dst, src, t_len, heads, d, scale, causal](ag::AutogradNode& n) {
         const Tensor& qv = n.parents[0]->value;
         const Tensor& kv = n.parents[1]->value;
         const Tensor& vv = n.parents[2]->value;
@@ -217,10 +214,12 @@ Var ConvAttentionUnit::AttendEdges(const Var& q, const Var& k, const Var& v,
             for (int64_t h = 0; h < heads; ++h) {
               const float* pa = probs->data() + (e * heads + h) * tt;
               const int64_t h0 = h * d;
-              // dA = G V^T and dV = A^T G.
+              // dA = G V^T and dV = A^T G, over the kept triangle: a masked
+              // weight is zero, so its dLogit is too.
               for (int64_t i = 0; i < t_len; ++i) {
                 const float* gi = gb + i * c + h0;
-                for (int64_t j = 0; j < t_len; ++j) {
+                const int64_t keys = causal ? i + 1 : t_len;
+                for (int64_t j = 0; j < keys; ++j) {
                   const float* vj = vb + j * c + h0;
                   float acc = 0.0f;
                   for (int64_t x = 0; x < d; ++x) acc += gi[x] * vj[x];
@@ -235,11 +234,12 @@ Var ConvAttentionUnit::AttendEdges(const Var& q, const Var& k, const Var& v,
               for (int64_t i = 0; i < t_len; ++i) {
                 const float* py = pa + i * t_len;
                 float* pd = dp.data() + i * t_len;
+                const int64_t keys = causal ? i + 1 : t_len;
                 double inner = 0.0;
-                for (int64_t j = 0; j < t_len; ++j) {
+                for (int64_t j = 0; j < keys; ++j) {
                   inner += static_cast<double>(py[j]) * pd[j];
                 }
-                for (int64_t j = 0; j < t_len; ++j) {
+                for (int64_t j = 0; j < keys; ++j) {
                   pd[j] = py[j] * (pd[j] - static_cast<float>(inner)) * scale;
                 }
               }
@@ -247,7 +247,8 @@ Var ConvAttentionUnit::AttendEdges(const Var& q, const Var& k, const Var& v,
               for (int64_t i = 0; i < t_len; ++i) {
                 float* dqi = dqb + i * c + h0;
                 const float* qi = qb + i * c + h0;
-                for (int64_t j = 0; j < t_len; ++j) {
+                const int64_t keys = causal ? i + 1 : t_len;
+                for (int64_t j = 0; j < keys; ++j) {
                   const float g = dp[static_cast<size_t>(i * t_len + j)];
                   if (g == 0.0f) continue;
                   const float* kj = kb + j * c + h0;

@@ -144,7 +144,46 @@ std::vector<int32_t> AllNodes(int64_t n) {
   return nodes;
 }
 
+/// Receptive field of `outputs`: layer l of `num_layers` reads need[l] and
+/// writes need[l+1], with need[num_layers] = outputs.
+std::vector<std::vector<int32_t>> ReceptiveField(
+    const graph::EsellerGraph& graph, const std::vector<int32_t>& outputs,
+    size_t num_layers) {
+  std::vector<std::vector<int32_t>> need(num_layers + 1);
+  need[num_layers] = outputs;
+  for (size_t l = num_layers; l-- > 0;) {
+    need[l] = WithInNeighbors(graph, need[l + 1]);
+  }
+  return need;
+}
+
+GaiaModel::NodeInput InputOf(const data::ForecastDataset& dataset, int32_t v) {
+  return GaiaModel::NodeInput{&dataset.z(v), &dataset.temporal(v),
+                              &dataset.static_features(v)};
+}
+
 }  // namespace
+
+int64_t NodeEncodings::Block(int32_t id) const {
+  const auto it = std::lower_bound(nodes.begin(), nodes.end(), id);
+  if (it == nodes.end() || *it != id) return -1;
+  return it - nodes.begin();
+}
+
+NodeEncodings GaiaModel::EncodeNodes(const data::ForecastDataset& dataset,
+                                     std::vector<int32_t> nodes) const {
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  std::vector<NodeInput> inputs;
+  inputs.reserve(nodes.size());
+  for (int32_t v : nodes) inputs.push_back(InputOf(dataset, v));
+  ag::InferenceScope no_tape;
+  GAIA_OBS_SPAN("model.encode");
+  NodeEncodings encodings;
+  encodings.rows = EncodeNodes(inputs)->value;
+  encodings.nodes = std::move(nodes);
+  return encodings;
+}
 
 std::vector<Var> GaiaModel::ForwardGraph(const graph::EsellerGraph& graph,
                                          const std::vector<NodeInput>& inputs,
@@ -167,13 +206,8 @@ Var GaiaModel::ForwardGraphBatched(const graph::EsellerGraph& graph,
   GAIA_OBS_SPAN("model.forward_graph");
   GAIA_CHECK_EQ(static_cast<int64_t>(inputs.size()), graph.num_nodes());
   if (util::CurrentCancelled()) return nullptr;
-  // Receptive field: layer l reads the rows of need[l] and writes need[l+1].
-  const size_t num_layers = layers_.size();
-  std::vector<std::vector<int32_t>> need(num_layers + 1);
-  need[num_layers] = outputs;
-  for (size_t l = num_layers; l-- > 0;) {
-    need[l] = WithInNeighbors(graph, need[l + 1]);
-  }
+  const std::vector<std::vector<int32_t>> need =
+      ReceptiveField(graph, outputs, layers_.size());
   Var embeddings;  // E from TEL, rows of need[0]
   {
     GAIA_OBS_SPAN("model.encode");
@@ -182,6 +216,15 @@ Var GaiaModel::ForwardGraphBatched(const graph::EsellerGraph& graph,
     for (int32_t v : need[0]) encoded.push_back(inputs[static_cast<size_t>(v)]);
     embeddings = EncodeNodes(encoded);
   }
+  return ForwardLayers(graph, need, embeddings, probe);
+}
+
+Var GaiaModel::ForwardLayers(const graph::EsellerGraph& graph,
+                             const std::vector<std::vector<int32_t>>& need,
+                             const Var& embeddings, ItaProbe* probe) const {
+  const size_t num_layers = layers_.size();
+  GAIA_CHECK_EQ(need.size(), num_layers + 1);
+  const std::vector<int32_t>& outputs = need[num_layers];
   Var h = embeddings;
   for (size_t l = 0; l < num_layers; ++l) {
     if (util::CurrentCancelled()) return nullptr;
@@ -226,9 +269,7 @@ std::vector<Var> GaiaModel::PredictNodes(const data::ForecastDataset& dataset,
   }
   std::vector<NodeInput> inputs(static_cast<size_t>(n));
   for (int32_t v = 0; v < n; ++v) {
-    inputs[static_cast<size_t>(v)] =
-        NodeInput{&dataset.z(v), &dataset.temporal(v),
-                  &dataset.static_features(v)};
+    inputs[static_cast<size_t>(v)] = InputOf(dataset, v);
   }
   Var batched = ForwardGraphBatched(dataset.graph(), inputs, nodes);
   if (batched == nullptr) return {};  // cancelled mid-forward
@@ -251,18 +292,48 @@ std::string GaiaModel::name() const {
 
 Result<Tensor> GaiaModel::PredictEgo(const data::ForecastDataset& dataset,
                                      const graph::EgoSubgraph& ego) const {
+  return ForwardEgo(dataset, ego, nullptr);
+}
+
+Result<Tensor> GaiaModel::PredictEgo(const data::ForecastDataset& dataset,
+                                     const graph::EgoSubgraph& ego,
+                                     const NodeEncodings& encodings) const {
+  return ForwardEgo(dataset, ego, &encodings);
+}
+
+Result<Tensor> GaiaModel::ForwardEgo(const data::ForecastDataset& dataset,
+                                     const graph::EgoSubgraph& ego,
+                                     const NodeEncodings* shared) const {
+  GAIA_OBS_SPAN("model.forward_graph");
   Result<graph::EsellerGraph> local =
       graph::EsellerGraph::Create(ego.num_nodes(), ego.edges);
   GAIA_CHECK(local.ok()) << local.status().ToString();
-  std::vector<NodeInput> inputs;
-  inputs.reserve(ego.nodes.size());
-  for (int32_t global_id : ego.nodes) {
-    inputs.push_back(NodeInput{&dataset.z(global_id),
-                               &dataset.temporal(global_id),
-                               &dataset.static_features(global_id)});
-  }
   ag::InferenceScope no_tape;
-  Var preds = ForwardGraphBatched(local.value(), inputs, {0});
+  Var preds;
+  // Rows from a cancelled encode may be unfilled: read none of them.
+  if (!util::CurrentCancelled()) {
+    const std::vector<std::vector<int32_t>> need =
+        ReceptiveField(local.value(), {0}, layers_.size());
+    std::vector<int32_t> field;  // need[0] as dataset ids
+    field.reserve(need[0].size());
+    for (int32_t v : need[0]) field.push_back(ego.nodes[static_cast<size_t>(v)]);
+    NodeEncodings own;
+    if (shared == nullptr) own = EncodeNodes(dataset, field);
+    const NodeEncodings& encodings = shared != nullptr ? *shared : own;
+    // The receptive field's rows, in local-id order.
+    const int64_t block = t_len_ * config_.channels;
+    Tensor rows({static_cast<int64_t>(field.size()) * t_len_,
+                 config_.channels});
+    for (size_t i = 0; i < field.size(); ++i) {
+      const int64_t from = encodings.Block(field[i]);
+      GAIA_CHECK_GE(from, 0) << "ego node " << field[i] << " was not encoded";
+      const float* src = encodings.rows.data() + from * block;
+      std::copy(src, src + block,
+                rows.data() + static_cast<int64_t>(i) * block);
+    }
+    preds = ForwardLayers(local.value(), need, ag::Constant(std::move(rows)),
+                          nullptr);
+  }
   if (preds == nullptr) {
     return Status::Cancelled("ego forward aborted by cancel token");
   }
@@ -276,9 +347,7 @@ ItaProbe GaiaModel::CollectAttention(
   const auto n = static_cast<int32_t>(dataset.num_nodes());
   std::vector<NodeInput> inputs(static_cast<size_t>(n));
   for (int32_t v = 0; v < n; ++v) {
-    inputs[static_cast<size_t>(v)] =
-        NodeInput{&dataset.z(v), &dataset.temporal(v),
-                  &dataset.static_features(v)};
+    inputs[static_cast<size_t>(v)] = InputOf(dataset, v);
   }
   ItaProbe probe;
   ag::InferenceScope no_tape;

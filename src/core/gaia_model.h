@@ -39,6 +39,21 @@ struct GaiaConfig {
   Status Validate(int64_t t_len) const;
 };
 
+/// \brief FFL -> TEL rows (Eqs. 1-7) of a set of dataset nodes.
+///
+/// A node's rows read only its own series and features, and their bits do
+/// not depend on which other nodes were encoded with it, so every ego
+/// forward that contains the node can read them instead of encoding it
+/// again (GaiaModel::PredictEgo's three-argument form).
+struct NodeEncodings {
+  std::vector<int32_t> nodes;  ///< dataset node ids, ascending and unique
+  Tensor rows;  ///< [|nodes| * T, C]; node nodes[i] in rows [i*T, (i+1)*T)
+
+  /// Row block of dataset node `id` (rows [block*T, (block+1)*T)), or -1
+  /// when it was not encoded.
+  int64_t Block(int32_t id) const;
+};
+
 /// \brief Gaia: FFL -> TEL -> L x ITA-GCN -> prediction head (paper Fig. 2).
 class GaiaModel : public ForecastModel {
  public:
@@ -86,9 +101,25 @@ class GaiaModel : public ForecastModel {
   /// units), matching the online deployment of §VI. Runs under an
   /// autograd::InferenceScope (no tape). Returns StatusCode::kCancelled when
   /// the ambient CancelToken aborts the forward mid-flight (the server
-  /// degrades such requests to the fallback).
+  /// degrades such requests to the fallback). The one-ego case of the form
+  /// below: it encodes the centre's receptive field itself.
   Result<Tensor> PredictEgo(const data::ForecastDataset& dataset,
                             const graph::EgoSubgraph& ego) const;
+
+  /// The same forward, reading the encoded rows of the centre's receptive
+  /// field from `encodings` (which must hold them; every ego node does when
+  /// the ego has num_layers hops) instead of encoding them: bitwise the
+  /// two-argument result. The batch server encodes a sweep's
+  /// nodes once and answers every ego of the sweep from the one table.
+  Result<Tensor> PredictEgo(const data::ForecastDataset& dataset,
+                            const graph::EgoSubgraph& ego,
+                            const NodeEncodings& encodings) const;
+
+  /// FFL -> TEL over the dataset nodes `nodes` (any order, repeats allowed),
+  /// node-batched, with no tape. If the ambient CancelToken fires the rows
+  /// may be partly unfilled; the caller must discard them.
+  NodeEncodings EncodeNodes(const data::ForecastDataset& dataset,
+                            std::vector<int32_t> nodes) const;
 
   /// Runs a full-graph forward (no tape) and returns the last layer's
   /// attention records (Fig. 4 case study).
@@ -103,6 +134,19 @@ class GaiaModel : public ForecastModel {
   /// FFL/TEL encoding of all nodes at once (respecting the ablation
   /// switches): [N*T, C], node n in rows [n*T, (n+1)*T).
   Var EncodeNodes(const std::vector<NodeInput>& inputs) const;
+
+  /// Both PredictEgo forms: the rows of the centre's receptive field come
+  /// from `shared`, or from an encode of just that field when it is null.
+  Result<Tensor> ForwardEgo(const data::ForecastDataset& dataset,
+                            const graph::EgoSubgraph& ego,
+                            const NodeEncodings* shared) const;
+
+  /// ITA-GCN layers and the head over encoded rows: `need[l]` are the
+  /// nodes layer l reads (need[0] ascending, its rows in `embeddings`) and
+  /// need[L] the outputs. Null when the ambient CancelToken fired.
+  Var ForwardLayers(const graph::EsellerGraph& graph,
+                    const std::vector<std::vector<int32_t>>& need,
+                    const Var& embeddings, ItaProbe* probe) const;
 
   GaiaConfig config_;
   int64_t t_len_;

@@ -30,7 +30,8 @@ struct ServeMetrics {
       "gaia_serve_batches_total", "PredictBatch sweeps served");
   obs::Histogram& latency = obs::MetricsRegistry::Global().GetHistogram(
       "gaia_serve_latency_seconds", {},
-      "Per-request forward latency (ego extraction + model forward)");
+      "Per-request serve latency after ego extraction: model forward (or "
+      "fallback); batch answers add an equal share of the batch's encode");
   obs::Histogram& ego_nodes = obs::MetricsRegistry::Global().GetHistogram(
       "gaia_serve_ego_nodes",
       obs::Histogram::ExponentialBuckets(1.0, 2.0, 12),
@@ -171,8 +172,17 @@ std::vector<double> ModelServer::FallbackForecast(int32_t shop) const {
   return gmv;
 }
 
+graph::EgoSubgraph ModelServer::ExtractEgo(int32_t shop) const {
+  // Per-request RNG: the ego subgraph depends only on (config.seed, shop),
+  // never on what was served before — see RequestSeed above.
+  Rng rng(RequestSeed(config_.seed, shop));
+  return graph::ExtractEgoSubgraph(dataset_->graph(), shop, config_.ego_hops,
+                                   config_.max_fanout, &rng);
+}
+
 ModelServer::Prediction ModelServer::PredictOne(
-    int32_t shop, const graph::EgoSubgraph& ego, double deadline_ms) const {
+    int32_t shop, const graph::EgoSubgraph& ego,
+    const core::NodeEncodings* encodings, double deadline_ms) const {
   Stopwatch watch;
   Prediction prediction;
   prediction.shop = shop;
@@ -181,17 +191,16 @@ ModelServer::Prediction ModelServer::PredictOne(
   std::string reason;
   bool model_ok = false;
   Tensor normalized;
-  // The caller's token, if any: work it aborts (ego extraction or forward)
-  // was cancelled, not failed or overrun, so it is reported apart.
+  // The caller's token, if any: work it aborts (ego extraction, a batch's
+  // shared encode or the forward) was cancelled, not failed or overrun, so
+  // it is reported apart.
   const util::CancelToken* caller = util::CancelToken::Current();
-  if (ego.nodes.empty()) {
-    if (caller != nullptr && caller->Cancelled()) {
-      reason = kCallerCancelledReason;
-      util::NoteCancelObserved();
-    } else {
-      reason = "ego-subgraph extraction failed";
-      RobustMetrics::Get().ego_failures.Increment();
-    }
+  if (caller != nullptr && caller->Cancelled()) {
+    reason = kCallerCancelledReason;
+    util::NoteCancelObserved();
+  } else if (ego.nodes.empty()) {
+    reason = "ego-subgraph extraction failed";
+    RobustMetrics::Get().ego_failures.Increment();
   } else {
     util::FaultInjector& faults = util::FaultInjector::Global();
     // Arm the latency budget *before* the forward: the token is installed
@@ -226,7 +235,10 @@ ModelServer::Prediction ModelServer::PredictOne(
         RobustMetrics::Get().deadline.Increment();
       }
     } else {
-      Result<Tensor> forward = model_->PredictEgo(*dataset_, ego);
+      Result<Tensor> forward =
+          encodings != nullptr
+              ? model_->PredictEgo(*dataset_, ego, *encodings)
+              : model_->PredictEgo(*dataset_, ego);
       if (!forward.ok()) {
         // kCancelled: a token fired and the forward unwound mid-flight.
         if (caller != nullptr && caller->Cancelled()) {
@@ -419,18 +431,70 @@ void ModelServer::ApplyQuantileBands(Prediction* prediction) const {
 
 ModelServer::Prediction ModelServer::Serve(
     int32_t shop, double deadline_ms, const obs::RequestContext& ctx) const {
-  // Per-request RNG: the ego subgraph depends only on (config.seed, shop),
-  // never on what was served before — see RequestSeed above.
-  Rng rng(RequestSeed(config_.seed, shop));
-  graph::EgoSubgraph ego =
-      graph::ExtractEgoSubgraph(dataset_->graph(), shop, config_.ego_hops,
-                                config_.max_fanout, &rng);
-  Prediction prediction = PredictOne(shop, ego, deadline_ms);
-  prediction.request_id = ctx.request_id;
-  if (bands_ != nullptr) ApplyQuantileBands(&prediction);
-  ObservePrediction(prediction);
-  LogServedRequest(prediction, ctx);
+  Prediction prediction =
+      PredictOne(shop, ExtractEgo(shop), /*encodings=*/nullptr, deadline_ms);
+  Finish(&prediction, ctx);
   return prediction;
+}
+
+void ModelServer::Finish(Prediction* prediction,
+                         const obs::RequestContext& ctx) const {
+  prediction->request_id = ctx.request_id;
+  if (bands_ != nullptr) ApplyQuantileBands(prediction);
+  ObservePrediction(*prediction);
+  LogServedRequest(*prediction, ctx);
+}
+
+std::vector<ModelServer::Prediction> ModelServer::ServeBatch(
+    const std::vector<int32_t>& shops, double deadline_ms,
+    const std::vector<obs::RequestContext>& contexts) const {
+  GAIA_CHECK_EQ(contexts.size(), shops.size());
+  std::vector<Prediction> out(shops.size());
+  if (shops.empty()) return out;
+  // No tape on any worker: the pool re-installs the scope on its threads.
+  autograd::InferenceScope no_tape;
+  // The caller's token reaches each request's own work but not the fan-out
+  // over requests, so a fired token degrades every request instead of
+  // skipping some of them.
+  const util::CancelToken* caller = util::CancelToken::Current();
+  const auto for_each_request = [&](const auto& body) {
+    util::ThreadPool::Global().ParallelFor(
+        static_cast<int64_t>(shops.size()),
+        [&](int64_t i) {
+          util::CancelScope scope(caller);
+          body(static_cast<size_t>(i));
+        },
+        /*grain=*/1, /*cancel=*/nullptr);
+  };
+
+  // Phase 1: every request's ego, from its own RNG stream as in Serve.
+  std::vector<graph::EgoSubgraph> egos(shops.size());
+  for_each_request([&](size_t i) { egos[i] = ExtractEgo(shops[i]); });
+
+  // Phase 2: one FFL -> TEL encode over the union of the egos. A node's
+  // rows do not depend on the rest of the batch, so each forward below
+  // reads the bits its own Serve would have computed.
+  Stopwatch encode_watch;
+  core::NodeEncodings encodings;
+  if (caller == nullptr || !caller->Cancelled()) {
+    std::vector<int32_t> nodes;
+    for (const graph::EgoSubgraph& ego : egos) {
+      nodes.insert(nodes.end(), ego.nodes.begin(), ego.nodes.end());
+    }
+    if (!nodes.empty()) encodings = model_->EncodeNodes(*dataset_, nodes);
+  }
+  const double encode_share_ms =
+      encode_watch.ElapsedMillis() / static_cast<double>(shops.size());
+
+  // Phase 3: the guarded forward per request. A token that fired during
+  // the encode degrades every request ("cancelled by caller"), so rows it
+  // left unfilled serve no answer.
+  for_each_request([&](size_t i) {
+    out[i] = PredictOne(shops[i], egos[i], &encodings, deadline_ms);
+    out[i].latency_ms += encode_share_ms;
+    Finish(&out[i], contexts[i]);
+  });
+  return out;
 }
 
 ModelServer::Prediction ModelServer::Predict(int32_t shop) {
@@ -451,17 +515,9 @@ std::vector<ModelServer::Prediction> ModelServer::PredictBatch(
     const std::vector<int32_t>& shops) {
   GAIA_OBS_SPAN("server.predict_batch");
   if (obs::Enabled()) ServeMetrics::Get().batches.Increment();
-  // The monthly sweep: requests fan out across the pool, one Serve call
-  // (ego extraction + forward) per claimed thread. Per-request RNG keeps
-  // every answer bitwise identical to a standalone Predict of the same
-  // shop, at any thread count.
-  std::vector<Prediction> out(shops.size());
-  // No tape on any worker: the pool re-installs the scope on its threads.
-  autograd::InferenceScope no_tape;
-  util::ParallelFor(static_cast<int64_t>(shops.size()), [&](int64_t i) {
-    const auto idx = static_cast<size_t>(i);
-    out[idx] = Serve(shops[idx], config_.deadline_ms);
-  });
+  std::vector<obs::RequestContext> contexts(shops.size());
+  for (obs::RequestContext& ctx : contexts) ctx.request_id = obs::NextRequestId();
+  std::vector<Prediction> out = ServeBatch(shops, config_.deadline_ms, contexts);
   for (const Prediction& prediction : out) {
     ++total_requests_;
     if (prediction.served_by == ServePath::kFallback) ++fallback_requests_;

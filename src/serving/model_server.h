@@ -87,11 +87,11 @@ struct QuantileBandTable {
 /// Holt-Winters fallback -> zero forecast. Predict never fails; the serve
 /// path taken is tagged on the Prediction.
 ///
-/// Thread-safety: Serve is const and safe from any number of threads.
-/// Predict/PredictBatch additionally accumulate the per-server totals
-/// below without synchronization, so those two entry points expect one
-/// caller at a time (the sharded tier routes everything through Serve and
-/// keeps its own atomic totals).
+/// Thread-safety: Serve and ServeBatch are const and safe from any number
+/// of threads. Predict/PredictBatch additionally accumulate the per-server
+/// totals below without synchronization, so those two entry points expect
+/// one caller at a time (the sharded tier serves through Serve and
+/// ServeBatch and keeps its own atomic totals).
 class ModelServer {
  public:
   /// Which rung of the degradation ladder answered the request.
@@ -100,6 +100,9 @@ class ModelServer {
   struct Prediction {
     int32_t shop = 0;
     std::vector<double> gmv;  ///< T' monthly forecasts, GMV units
+    /// Serve time after ego extraction: the model forward (or the fallback
+    /// that replaced it) and the bands. A batch answer adds the batch's
+    /// shared encode wall time divided by the batch size.
     double latency_ms = 0.0;
     int64_t ego_nodes = 0;
     ServePath served_by = ServePath::kModel;
@@ -158,15 +161,30 @@ class ModelServer {
                    const obs::RequestContext& ctx) const;
 
   /// Serves a batch of requests (the deployed system predicts millions of
-  /// e-sellers in a monthly sweep). The fan-out is one outer ParallelFor
-  /// over the requests on the process-wide pool (GAIA_NUM_THREADS /
-  /// util::ThreadPool::SetGlobalThreads): with an N-thread pool up to N
-  /// requests run concurrently, each forward running inline on its claimed
-  /// thread (nested loops never re-dispatch); with a 1-thread pool the whole
-  /// sweep runs inline on the calling thread and no worker threads are
-  /// involved (pinned by ShardedServingTest.PredictBatchFanout*). Forecast
-  /// values are bitwise identical at any pool size.
+  /// e-sellers in a monthly sweep) through ServeBatch, with fresh request
+  /// ids and the per-server totals. Every answer is bitwise identical to a
+  /// Serve of the same shop, at any pool size.
   std::vector<Prediction> PredictBatch(const std::vector<int32_t>& shops);
+
+  /// The batch pipeline behind PredictBatch and ShardedServer::PredictBatch,
+  /// in three phases on the process-wide pool (GAIA_NUM_THREADS /
+  /// util::ThreadPool::SetGlobalThreads):
+  ///  1. each request's ego, extracted as Serve extracts it (same RNG
+  ///     stream, same "graph.ego_extract" fault draw), one request per
+  ///     claimed thread;
+  ///  2. one FFL -> TEL encode over the union of the egos' nodes, so a shop
+  ///     is encoded once per batch, not once per ego it appears in;
+  ///  3. the guarded forward per request (faults, deadline, NaN check,
+  ///     fallback, bands, event log, as in Serve), reading the shared rows.
+  /// With a 1-thread pool the whole batch runs inline on the calling thread
+  /// (pinned by ShardedServingTest.PredictBatchFanout*). A caller token
+  /// (util::CancelScope) that fires before or during phase 2 degrades every
+  /// request with "cancelled by caller". The deadline covers each request's
+  /// own forward, as in Serve; latency_ms adds the phase-2 share. Const and
+  /// thread-safe; `contexts` carries one request id and shard per shop.
+  std::vector<Prediction> ServeBatch(
+      const std::vector<int32_t>& shops, double deadline_ms,
+      const std::vector<obs::RequestContext>& contexts) const;
 
   /// Hot-swaps model weights from an offline-produced checkpoint, retrying
   /// transient I/O per config. Verify-then-swap: on any failure the serving
@@ -211,11 +229,20 @@ class ModelServer {
   int last_load_rollbacks() const { return last_load_rollbacks_; }
 
  private:
-  /// The per-request pipeline behind both Predict and PredictBatch: forward
+  /// The request's ego subgraph, from its own (config.seed, shop) stream.
+  graph::EgoSubgraph ExtractEgo(int32_t shop) const;
+
+  /// The per-request pipeline behind both Serve and ServeBatch: forward
   /// with NaN/deadline guards (cooperative token when configured), degrading
-  /// to FallbackForecast. Thread-safe.
+  /// to FallbackForecast. The forward encodes the ego itself, or reads its
+  /// rows from `encodings` when given. Thread-safe.
   Prediction PredictOne(int32_t shop, const graph::EgoSubgraph& ego,
+                        const core::NodeEncodings* encodings,
                         double deadline_ms) const;
+
+  /// Stamps the request id and bands, then records the answer in the
+  /// serving metrics and the event log.
+  void Finish(Prediction* prediction, const obs::RequestContext& ctx) const;
 
   /// The degradation rung below the model: additive Holt-Winters fit on the
   /// shop's own normalized history, denormalized and clamped to >= 0.

@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "autograd/variable.h"
 #include "obs/obs.h"
 #include "serving/checkpoint_store.h"
 #include "util/check.h"
@@ -142,7 +141,10 @@ ShardedServer::Prediction ShardedServer::Predict(
   // so a fired token aborts the forward at its next check.
   util::CancelScope cancel_scope(cancel);
   const std::shared_ptr<const Generation> generation = LoadGeneration();
-  return ServeOne(*generation, shop, deadline_ms);
+  const obs::RequestContext ctx = NewContext(shop);
+  Prediction prediction = generation->server->Serve(shop, deadline_ms, ctx);
+  Count(prediction, ctx.shard);
+  return prediction;
 }
 
 std::vector<ShardedServer::Prediction> ShardedServer::PredictBatch(
@@ -151,32 +153,31 @@ std::vector<ShardedServer::Prediction> ShardedServer::PredictBatch(
   // One snapshot for the whole batch: a flip that lands mid-batch is seen
   // by the next call, never by half of this one.
   const std::shared_ptr<const Generation> generation = LoadGeneration();
-  std::vector<Prediction> out(shops.size());
-  autograd::InferenceScope no_tape;
-  util::ParallelFor(static_cast<int64_t>(shops.size()), [&](int64_t i) {
-    const auto idx = static_cast<size_t>(i);
-    out[idx] =
-        ServeOne(*generation, shops[idx], config_.server.deadline_ms);
-  });
+  std::vector<obs::RequestContext> contexts;
+  contexts.reserve(shops.size());
+  for (int32_t shop : shops) contexts.push_back(NewContext(shop));
+  std::vector<Prediction> out = generation->server->ServeBatch(
+      shops, config_.server.deadline_ms, contexts);
+  for (size_t i = 0; i < out.size(); ++i) Count(out[i], contexts[i].shard);
   return out;
 }
 
-ShardedServer::Prediction ShardedServer::ServeOne(const Generation& generation,
-                                                  int32_t shop,
-                                                  double deadline_ms) {
+obs::RequestContext ShardedServer::NewContext(int32_t shop) const {
   obs::RequestContext ctx;
   ctx.request_id = obs::NextRequestId();
   ctx.shard = ShardOf(shop);
-  Prediction prediction = generation.server->Serve(shop, deadline_ms, ctx);
+  return ctx;
+}
+
+void ShardedServer::Count(const Prediction& prediction, int shard) {
   total_requests_.fetch_add(1, std::memory_order_relaxed);
   if (prediction.served_by == ModelServer::ServePath::kFallback) {
     fallback_requests_.fetch_add(1, std::memory_order_relaxed);
   }
   if (obs::Enabled()) {
-    shard_requests_[static_cast<size_t>(ctx.shard)]->Increment();
+    shard_requests_[static_cast<size_t>(shard)]->Increment();
     TierMetrics::Get().requests.Increment();
   }
-  return prediction;
 }
 
 }  // namespace gaia::serving

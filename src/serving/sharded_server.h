@@ -38,9 +38,10 @@ struct ShardedServerConfig {
 /// generation and runs ModelServer::Serve with nested loops inline
 /// (util::ThreadPool::InlineScope), so N concurrent callers run N forwards
 /// concurrently and never contend on the process-wide pool. PredictBatch
-/// pins one generation for the whole batch and fans the shops out on the
-/// pool like ModelServer::PredictBatch. Both are the exact serial path per
-/// request, so forecasts are bitwise identical to the unsharded
+/// pins one generation for the whole batch and runs that generation's
+/// ModelServer::ServeBatch (one shared encode, then the forwards fanned out
+/// on the pool). Each answer is bitwise what the exact serial path computes
+/// for its request, so forecasts are identical to the unsharded
 /// ModelServer::PredictBatch at any shard, caller and thread count (each
 /// forecast is a pure function of (config, shop); see ServerConfig::seed).
 ///
@@ -54,11 +55,12 @@ struct ShardedServerConfig {
 /// never a torn mix. Old generations are reclaimed by shared_ptr count when
 /// their last reader returns.
 ///
-/// Deadlines and cancellation: a request's deadline covers the work after
-/// Predict is called (ego extraction + forward). The caller's token is
-/// installed around that work, so a token that fired before the call, or
-/// fires during it, aborts the forward at its next check and the request
-/// degrades to the fallback ("cancelled by caller"), as in ModelServer.
+/// Deadlines and cancellation: a request's deadline covers its forward (the
+/// deadline token is armed after ego extraction). The caller's token is
+/// installed around all of the request's work, so a token that fired before
+/// the call, or fires during it, stops ego extraction, a batch's shared
+/// encode or the forward at its next check and the request degrades to the
+/// fallback ("cancelled by caller"), as in ModelServer.
 ///
 /// Thread-safety: Predict/PredictBatch are safe from any number of threads.
 /// LoadCheckpoint may run concurrently with serving (that is the point) but
@@ -83,7 +85,7 @@ class ShardedServer {
                      const util::CancelToken* cancel = nullptr);
 
   /// Answers the batch in input order against one generation snapshot,
-  /// fanned out on the process-wide pool. Bitwise identical to
+  /// through its ModelServer::ServeBatch. Bitwise identical to
   /// ModelServer::PredictBatch on the same (model, dataset, server config)
   /// at any shard/thread count.
   std::vector<Prediction> PredictBatch(const std::vector<int32_t>& shops);
@@ -148,9 +150,10 @@ class ShardedServer {
   /// Creates an unpublished model with this tier's dimensions, ready for a
   /// checkpoint load.
   Result<std::shared_ptr<core::GaiaModel>> NewEmptyModel() const;
-  /// Answers one request on `generation` and counts it.
-  Prediction ServeOne(const Generation& generation, int32_t shop,
-                      double deadline_ms);
+  /// A fresh request id, and the shop's shard.
+  obs::RequestContext NewContext(int32_t shop) const;
+  /// Counts one answered request in the tier totals and its shard.
+  void Count(const Prediction& prediction, int shard);
 
   ShardedServerConfig config_;
   std::shared_ptr<const data::ForecastDataset> dataset_;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "autograd/grad_check.h"
@@ -184,6 +186,30 @@ TEST_F(CauTest, NoFutureLeakageEndToEnd) {
   for (int64_t t = 0; t + 1 < kT; ++t) {
     for (int64_t c = 0; c < kC; ++c) {
       EXPECT_FLOAT_EQ(base->value.at(t, c), pert->value.at(t, c));
+    }
+  }
+}
+
+TEST_F(CauTest, NonFiniteFutureKeyNeverReachesEarlierRows) {
+  // Under the causal mask row i attends keys 0..i only, so a NaN key at
+  // timestamp j cannot reach rows < j: they stay finite and bitwise equal
+  // to the clean run. (A mask that adds -1e9 to a NaN logit keeps it NaN,
+  // and one NaN logit turns its whole softmax row into NaN.)
+  constexpr int64_t kPoisoned = 5;
+  Tensor q = Tensor::Randn({kT, kC}, &rng_);
+  Tensor k = Tensor::Randn({kT, kC}, &rng_);
+  Tensor v = Tensor::Randn({kT, kC}, &rng_);
+  Var clean = cau_.Attend(ag::Constant(q), ag::Constant(k), ag::Constant(v));
+  for (int64_t c = 0; c < kC; ++c) k.at(kPoisoned, c) = std::nanf("");
+  Var poisoned =
+      cau_.Attend(ag::Constant(q), ag::Constant(k), ag::Constant(v));
+  for (int64_t t = 0; t < kPoisoned; ++t) {
+    for (int64_t c = 0; c < kC; ++c) {
+      const float got = poisoned->value.at(t, c);
+      const float want = clean->value.at(t, c);
+      EXPECT_TRUE(std::isfinite(got)) << "row " << t << " channel " << c;
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+          << "row " << t << " channel " << c << ": " << got << " vs " << want;
     }
   }
 }

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
@@ -61,11 +62,12 @@ class ShardedServingTest : public ::testing::Test {
 
   /// Fresh small model; different `seed` -> different weights, so two seeds
   /// give two distinguishable generations for swap/torn-read tests.
-  std::shared_ptr<core::GaiaModel> MakeModel(uint64_t seed = 1) {
+  std::shared_ptr<core::GaiaModel> MakeModel(uint64_t seed = 1,
+                                             int64_t num_layers = 1) {
     core::GaiaConfig cfg;
     cfg.channels = 8;
     cfg.tel_groups = 2;
-    cfg.num_layers = 1;
+    cfg.num_layers = num_layers;
     cfg.seed = seed;
     auto model = core::GaiaModel::Create(
         cfg, dataset_->history_len(), dataset_->horizon(),
@@ -618,6 +620,171 @@ TEST_F(ShardedServingTest, PublishRefusedWhileAnotherHolderIsLive) {
   EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
   EXPECT_TRUE(store.history().empty()) << "refused publish touched history";
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// The batch path: one shared encode, then the per-request forwards
+// ---------------------------------------------------------------------------
+
+TEST_F(ShardedServingTest, PredictBatchAnswersEqualServeBitwise) {
+  // Each batch answer reads its ego's rows from the batch's one encode; the
+  // bits must be those of a standalone Serve, whatever else shares the
+  // batch: the whole market, one shop, or shops repeated.
+  const std::vector<int32_t> all = AllShops();
+  const std::vector<std::vector<int32_t>> batches = {
+      all, {17}, {3, 17, 3, 42, 17, 3, 59}};
+  for (int64_t fanout : {10, 0}) {
+    for (int64_t num_layers : {1, 2}) {
+      serving::ServerConfig config;
+      config.max_fanout = fanout;
+      const std::shared_ptr<core::GaiaModel> model = MakeModel(1, num_layers);
+      util::ThreadPool::SetGlobalThreads(1);
+      const ModelServer reference(model, dataset_, config);
+      std::vector<ModelServer::Prediction> want;
+      for (int32_t shop : all) want.push_back(reference.Serve(shop, 0.0));
+      for (int num_threads : {1, 4}) {
+        util::ThreadPool::SetGlobalThreads(num_threads);
+        ModelServer server(model, dataset_, config);
+        for (const std::vector<int32_t>& batch : batches) {
+          SCOPED_TRACE("fanout=" + std::to_string(fanout) +
+                       " layers=" + std::to_string(num_layers) +
+                       " threads=" + std::to_string(num_threads) +
+                       " batch=" + std::to_string(batch.size()));
+          const std::vector<ModelServer::Prediction> got =
+              server.PredictBatch(batch);
+          ASSERT_EQ(got.size(), batch.size());
+          for (size_t i = 0; i < batch.size(); ++i) {
+            const ModelServer::Prediction& expected =
+                want[static_cast<size_t>(batch[i])];
+            ExpectBitwise(got[i], expected);
+            EXPECT_EQ(got[i].served_by, ModelServer::ServePath::kModel);
+            EXPECT_EQ(got[i].ego_nodes, expected.ego_nodes);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(ShardedServingTest, PredictBatchEncodesOncePerBatch) {
+  // FFL and TEL run once over the union of the batch's egos, not once per
+  // ego; the layers and the head still run once per request.
+  const obs::Level saved_level = obs::CurrentLevel();
+  obs::SetLevel(obs::Level::kOn);
+  const std::vector<int32_t> shops = AllShops();
+  ModelServer server(MakeModel(), dataset_, serving::ServerConfig{});
+  ShardedServerConfig cfg;
+  cfg.num_shards = 2;
+  ShardedServer sharded(MakeModel(), dataset_, cfg);
+  for (bool through_tier : {false, true}) {
+    SCOPED_TRACE(through_tier ? "ShardedServer" : "ModelServer");
+    obs::TraceBuffer::Global().Clear();
+    if (through_tier) {
+      sharded.PredictBatch(shops);
+    } else {
+      server.PredictBatch(shops);
+    }
+    std::map<std::string, obs::SpanStats> spans =
+        obs::TraceBuffer::Global().AggregateByName();
+    EXPECT_EQ(spans["ffl.forward"].count, 1u);
+    EXPECT_EQ(spans["tel.forward"].count, 1u);
+    EXPECT_EQ(spans["model.encode"].count, 1u);
+    EXPECT_EQ(spans["model.forward_graph"].count, shops.size());
+  }
+  obs::SetLevel(saved_level);
+}
+
+TEST_F(ShardedServingTest, PredictBatchUnderFiredCallerTokenDegradesAll) {
+  // A caller token that fired before the batch reaches every request: each
+  // one is answered by the fallback as "cancelled by caller" and counted
+  // once as an observed cancel; none is skipped or left unanswered.
+  const std::vector<int32_t> shops = {3, 17, 42, 7, 17};
+  ModelServer server(MakeModel(), dataset_, serving::ServerConfig{});
+  ShardedServerConfig cfg;
+  cfg.num_shards = 2;
+  ShardedServer sharded(MakeModel(), dataset_, cfg);
+  util::CancelToken token;
+  token.Cancel();
+  for (int num_threads : {1, 4}) {
+    util::ThreadPool::SetGlobalThreads(num_threads);
+    for (bool through_tier : {false, true}) {
+      SCOPED_TRACE(std::string(through_tier ? "ShardedServer" : "ModelServer") +
+                   " threads=" + std::to_string(num_threads));
+      const uint64_t observed_before =
+          obs::MetricsRegistry::Global().CounterValue(
+              "gaia_cancel_observed_total");
+      std::vector<ModelServer::Prediction> got;
+      {
+        util::CancelScope scope(&token);
+        got = through_tier ? sharded.PredictBatch(shops)
+                           : server.PredictBatch(shops);
+      }
+      EXPECT_EQ(obs::MetricsRegistry::Global().CounterValue(
+                    "gaia_cancel_observed_total"),
+                observed_before + shops.size());
+      ASSERT_EQ(got.size(), shops.size());
+      for (size_t i = 0; i < shops.size(); ++i) {
+        EXPECT_EQ(got[i].shop, shops[i]);
+        EXPECT_EQ(got[i].served_by, ModelServer::ServePath::kFallback);
+        EXPECT_EQ(got[i].degraded_reason, "cancelled by caller");
+        EXPECT_EQ(static_cast<int64_t>(got[i].gmv.size()),
+                  dataset_->horizon());
+      }
+    }
+  }
+  // Without the token the same batch is answered by the model again.
+  for (const ModelServer::Prediction& p : server.PredictBatch(shops)) {
+    EXPECT_EQ(p.served_by, ModelServer::ServePath::kModel);
+  }
+}
+
+TEST_F(ShardedServingTest, PredictBatchCountsEveryRequestUnderItsShard) {
+  // The tier's batch runs through ModelServer::ServeBatch but keeps its own
+  // request ids, per-shard counters and event-log shard field.
+  const obs::Level saved_level = obs::CurrentLevel();
+  obs::SetLevel(obs::Level::kOn);
+  obs::EventLog& log = obs::EventLog::Global();
+  const bool saved_log = log.enabled();
+  log.Clear();
+  log.SetEnabled(true);
+  ShardedServerConfig cfg;
+  cfg.num_shards = 4;
+  ShardedServer sharded(MakeModel(), dataset_, cfg);
+  auto shard_count = [](int k) {
+    return obs::MetricsRegistry::Global().CounterValue(
+        "gaia_serve_shard_" + std::to_string(k) + "_requests_total");
+  };
+  std::vector<uint64_t> before;
+  for (int k = 0; k < cfg.num_shards; ++k) before.push_back(shard_count(k));
+  const std::vector<int32_t> shops = AllShops();
+  const std::vector<ModelServer::Prediction> got = sharded.PredictBatch(shops);
+  ASSERT_EQ(got.size(), shops.size());
+
+  std::vector<uint64_t> want_delta(static_cast<size_t>(cfg.num_shards), 0);
+  for (int32_t shop : shops) ++want_delta[static_cast<size_t>(sharded.ShardOf(shop))];
+  uint64_t total_delta = 0;
+  for (int k = 0; k < cfg.num_shards; ++k) {
+    const uint64_t delta = shard_count(k) - before[static_cast<size_t>(k)];
+    EXPECT_EQ(delta, want_delta[static_cast<size_t>(k)]) << "shard " << k;
+    total_delta += delta;
+  }
+  EXPECT_EQ(total_delta, shops.size());
+  EXPECT_EQ(sharded.total_requests(), static_cast<int64_t>(shops.size()));
+
+  std::map<uint64_t, obs::EventRecord> by_id;
+  for (const obs::EventRecord& record : log.Recent(shops.size() + 8)) {
+    by_id[record.request_id] = record;
+  }
+  EXPECT_EQ(by_id.size(), shops.size());
+  for (const ModelServer::Prediction& answer : got) {
+    const auto it = by_id.find(answer.request_id);
+    ASSERT_NE(it, by_id.end()) << "shop " << answer.shop;
+    EXPECT_EQ(it->second.shop, answer.shop);
+    EXPECT_EQ(it->second.shard, sharded.ShardOf(answer.shop));
+  }
+  log.SetEnabled(saved_log);
+  log.Clear();
+  obs::SetLevel(saved_level);
 }
 
 // ---------------------------------------------------------------------------
