@@ -109,8 +109,8 @@ class GaiaModel : public ForecastModel {
   /// The same forward, reading the encoded rows of the centre's receptive
   /// field from `encodings` (which must hold them; every ego node does when
   /// the ego has num_layers hops) instead of encoding them: bitwise the
-  /// two-argument result. The batch server encodes a sweep's
-  /// nodes once and answers every ego of the sweep from the one table.
+  /// two-argument result. The model server encodes every dataset node
+  /// once per set of served weights and answers every ego from that table.
   Result<Tensor> PredictEgo(const data::ForecastDataset& dataset,
                             const graph::EgoSubgraph& ego,
                             const NodeEncodings& encodings) const;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <optional>
 #include <thread>
 
@@ -31,7 +32,8 @@ struct ServeMetrics {
   obs::Histogram& latency = obs::MetricsRegistry::Global().GetHistogram(
       "gaia_serve_latency_seconds", {},
       "Per-request serve latency after ego extraction: model forward (or "
-      "fallback); batch answers add an equal share of the batch's encode");
+      "fallback), plus the encoding-table build for the request that ran "
+      "it (an equal share per answer of a batch that ran it)");
   obs::Histogram& ego_nodes = obs::MetricsRegistry::Global().GetHistogram(
       "gaia_serve_ego_nodes",
       obs::Histogram::ExponentialBuckets(1.0, 2.0, 12),
@@ -81,6 +83,10 @@ struct CancelServeMetrics {
 /// degraded_reason of a request whose caller's own token (installed with
 /// util::CancelScope around the call) aborted the forward.
 constexpr char kCallerCancelledReason[] = "cancelled by caller";
+
+/// Nodes per encoding-table chunk: small enough that the encode's
+/// temporaries stay small, many enough that a chunk is worth a pool claim.
+constexpr int64_t kEncodeChunk = 32;
 
 std::string DeadlineReason(double deadline_ms, const char* detail) {
   return "deadline_exceeded (budget " + std::to_string(deadline_ms) +
@@ -191,9 +197,9 @@ ModelServer::Prediction ModelServer::PredictOne(
   std::string reason;
   bool model_ok = false;
   Tensor normalized;
-  // The caller's token, if any: work it aborts (ego extraction, a batch's
-  // shared encode or the forward) was cancelled, not failed or overrun, so
-  // it is reported apart.
+  // The caller's token, if any: work it aborts (ego extraction, the table
+  // build or the forward) was cancelled, not failed or overrun, so it is
+  // reported apart.
   const util::CancelToken* caller = util::CancelToken::Current();
   if (caller != nullptr && caller->Cancelled()) {
     reason = kCallerCancelledReason;
@@ -235,10 +241,10 @@ ModelServer::Prediction ModelServer::PredictOne(
         RobustMetrics::Get().deadline.Increment();
       }
     } else {
-      Result<Tensor> forward =
-          encodings != nullptr
-              ? model_->PredictEgo(*dataset_, ego, *encodings)
-              : model_->PredictEgo(*dataset_, ego);
+      // Only a cancelled build leaves no table, and the caller check above
+      // answered that request.
+      GAIA_CHECK(encodings != nullptr);
+      Result<Tensor> forward = model_->PredictEgo(*dataset_, ego, *encodings);
       if (!forward.ok()) {
         // kCancelled: a token fired and the forward unwound mid-flight.
         if (caller != nullptr && caller->Cancelled()) {
@@ -429,10 +435,62 @@ void ModelServer::ApplyQuantileBands(Prediction* prediction) const {
   }
 }
 
+const core::NodeEncodings* ModelServer::Encodings(double* build_ms) const {
+  *build_ms = 0.0;
+  const core::NodeEncodings* table =
+      published_table_.load(std::memory_order_acquire);
+  if (table != nullptr) return table;
+  std::lock_guard<std::mutex> lock(table_mu_);
+  table = published_table_.load(std::memory_order_acquire);
+  if (table != nullptr) return table;  // built while this caller waited
+
+  GAIA_OBS_SPAN("server.encode_table");
+  Stopwatch watch;
+  const int64_t num_nodes = dataset_->num_nodes();
+  const int64_t block = dataset_->history_len() * model_->config().channels;
+  auto built = std::make_unique<core::NodeEncodings>();
+  built->nodes.resize(static_cast<size_t>(num_nodes));
+  std::iota(built->nodes.begin(), built->nodes.end(), 0);
+  built->rows = Tensor({num_nodes * dataset_->history_len(),
+                        model_->config().channels});
+  // The caller's token is polled here, between chunks, and hidden from the
+  // encode itself (a never-fired token shadows it on this thread; the pool
+  // installs none on its workers), so a cancelled build stops at a chunk
+  // boundary and counts as one observed cancel: the one its request reports.
+  const util::CancelToken* caller = util::CancelToken::Current();
+  util::CancelToken never_fired;
+  util::CancelScope shadow(caller != nullptr ? &never_fired : nullptr);
+  std::atomic<bool> incomplete{false};
+  util::ThreadPool::Global().ParallelFor(
+      (num_nodes + kEncodeChunk - 1) / kEncodeChunk,
+      [&](int64_t chunk) {
+        if (caller != nullptr && caller->Cancelled()) {
+          incomplete.store(true, std::memory_order_relaxed);
+          return;
+        }
+        const int64_t begin = chunk * kEncodeChunk;
+        const int64_t end = std::min(num_nodes, begin + kEncodeChunk);
+        const core::NodeEncodings part = model_->EncodeNodes(
+            *dataset_, std::vector<int32_t>(built->nodes.begin() + begin,
+                                            built->nodes.begin() + end));
+        std::copy(part.rows.data(), part.rows.data() + part.rows.size(),
+                  built->rows.data() + begin * block);
+      },
+      /*grain=*/1, /*cancel=*/nullptr);
+  if (incomplete.load(std::memory_order_relaxed)) return nullptr;
+  table_ = std::move(built);
+  published_table_.store(table_.get(), std::memory_order_release);
+  *build_ms = watch.ElapsedMillis();
+  return table_.get();
+}
+
 ModelServer::Prediction ModelServer::Serve(
     int32_t shop, double deadline_ms, const obs::RequestContext& ctx) const {
+  double build_ms = 0.0;
+  const core::NodeEncodings* encodings = Encodings(&build_ms);
   Prediction prediction =
-      PredictOne(shop, ExtractEgo(shop), /*encodings=*/nullptr, deadline_ms);
+      PredictOne(shop, ExtractEgo(shop), encodings, deadline_ms);
+  prediction.latency_ms += build_ms;
   Finish(&prediction, ctx);
   return prediction;
 }
@@ -457,43 +515,23 @@ std::vector<ModelServer::Prediction> ModelServer::ServeBatch(
   // over requests, so a fired token degrades every request instead of
   // skipping some of them.
   const util::CancelToken* caller = util::CancelToken::Current();
-  const auto for_each_request = [&](const auto& body) {
-    util::ThreadPool::Global().ParallelFor(
-        static_cast<int64_t>(shops.size()),
-        [&](int64_t i) {
-          util::CancelScope scope(caller);
-          body(static_cast<size_t>(i));
-        },
-        /*grain=*/1, /*cancel=*/nullptr);
-  };
 
-  // Phase 1: every request's ego, from its own RNG stream as in Serve.
-  std::vector<graph::EgoSubgraph> egos(shops.size());
-  for_each_request([&](size_t i) { egos[i] = ExtractEgo(shops[i]); });
-
-  // Phase 2: one FFL -> TEL encode over the union of the egos. A node's
-  // rows do not depend on the rest of the batch, so each forward below
-  // reads the bits its own Serve would have computed.
-  Stopwatch encode_watch;
-  core::NodeEncodings encodings;
-  if (caller == nullptr || !caller->Cancelled()) {
-    std::vector<int32_t> nodes;
-    for (const graph::EgoSubgraph& ego : egos) {
-      nodes.insert(nodes.end(), ego.nodes.begin(), ego.nodes.end());
-    }
-    if (!nodes.empty()) encodings = model_->EncodeNodes(*dataset_, nodes);
-  }
-  const double encode_share_ms =
-      encode_watch.ElapsedMillis() / static_cast<double>(shops.size());
-
-  // Phase 3: the guarded forward per request. A token that fired during
-  // the encode degrades every request ("cancelled by caller"), so rows it
-  // left unfilled serve no answer.
-  for_each_request([&](size_t i) {
-    out[i] = PredictOne(shops[i], egos[i], &encodings, deadline_ms);
-    out[i].latency_ms += encode_share_ms;
-    Finish(&out[i], contexts[i]);
-  });
+  // The table first, so no request of the fan-out waits on a build. A token
+  // that stopped the build degrades every request ("cancelled by caller").
+  double build_ms = 0.0;
+  const core::NodeEncodings* encodings = Encodings(&build_ms);
+  const double build_share_ms = build_ms / static_cast<double>(shops.size());
+  util::ThreadPool::Global().ParallelFor(
+      static_cast<int64_t>(shops.size()),
+      [&](int64_t i) {
+        util::CancelScope scope(caller);
+        const auto at = static_cast<size_t>(i);
+        out[at] = PredictOne(shops[at], ExtractEgo(shops[at]), encodings,
+                             deadline_ms);
+        out[at].latency_ms += build_share_ms;
+        Finish(&out[at], contexts[at]);
+      },
+      /*grain=*/1, /*cancel=*/nullptr);
   return out;
 }
 
@@ -526,8 +564,17 @@ std::vector<ModelServer::Prediction> ModelServer::PredictBatch(
   return out;
 }
 
+void ModelServer::DropEncodings() {
+  std::lock_guard<std::mutex> lock(table_mu_);
+  published_table_.store(nullptr, std::memory_order_release);
+  table_.reset();
+}
+
 Status ModelServer::LoadCheckpoint(const std::string& path) {
   GAIA_OBS_SPAN("server.load_checkpoint");
+  // Even a failed load drops the table: the next request rebuilds it from
+  // whatever weights serve, so no path can leave rows of other weights.
+  DropEncodings();
   // Module::Load is verify-then-swap, so a failed attempt (or exhausted
   // retry) leaves the serving weights untouched.
   return util::RetryCall(config_.checkpoint_retry,
@@ -536,6 +583,7 @@ Status ModelServer::LoadCheckpoint(const std::string& path) {
 
 Status ModelServer::LoadCheckpoint(const CheckpointStore& store) {
   GAIA_OBS_SPAN("server.load_checkpoint");
+  DropEncodings();
   auto report = store.LoadLatestGood(model_.get());
   if (!report.ok()) return report.status();
   last_load_rollbacks_ = report.value().rollbacks;

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -87,11 +88,19 @@ struct QuantileBandTable {
 /// Holt-Winters fallback -> zero forecast. Predict never fails; the serve
 /// path taken is tagged on the Prediction.
 ///
+/// Encoding table: the FFL -> TEL rows of a node depend only on the weights
+/// and the node's own series and features, so the first Serve or ServeBatch
+/// after construction or LoadCheckpoint encodes every dataset node once
+/// (N * T * C floats) and every later forward reads its rows from that
+/// table. A node's rows do not depend on what else is encoded with it, so
+/// answers are bitwise those of the self-encoding GaiaModel::PredictEgo.
+///
 /// Thread-safety: Serve and ServeBatch are const and safe from any number
-/// of threads. Predict/PredictBatch additionally accumulate the per-server
-/// totals below without synchronization, so those two entry points expect
-/// one caller at a time (the sharded tier serves through Serve and
-/// ServeBatch and keeps its own atomic totals).
+/// of threads; concurrent first users wait for one table build. Predict/
+/// PredictBatch additionally accumulate the per-server totals below without
+/// synchronization, so those two entry points expect one caller at a time
+/// (the sharded tier serves through Serve and ServeBatch and keeps its own
+/// atomic totals).
 class ModelServer {
  public:
   /// Which rung of the degradation ladder answered the request.
@@ -101,8 +110,9 @@ class ModelServer {
     int32_t shop = 0;
     std::vector<double> gmv;  ///< T' monthly forecasts, GMV units
     /// Serve time after ego extraction: the model forward (or the fallback
-    /// that replaced it) and the bands. A batch answer adds the batch's
-    /// shared encode wall time divided by the batch size.
+    /// that replaced it) and the bands. The request that built the
+    /// encoding table adds the build's wall time; a batch that built it
+    /// adds the build time divided by the batch size to every answer.
     double latency_ms = 0.0;
     int64_t ego_nodes = 0;
     ServePath served_by = ServePath::kModel;
@@ -167,32 +177,35 @@ class ModelServer {
   std::vector<Prediction> PredictBatch(const std::vector<int32_t>& shops);
 
   /// The batch pipeline behind PredictBatch and ShardedServer::PredictBatch,
-  /// in three phases on the process-wide pool (GAIA_NUM_THREADS /
-  /// util::ThreadPool::SetGlobalThreads):
-  ///  1. each request's ego, extracted as Serve extracts it (same RNG
-  ///     stream, same "graph.ego_extract" fault draw), one request per
-  ///     claimed thread;
-  ///  2. one FFL -> TEL encode over the union of the egos' nodes, so a shop
-  ///     is encoded once per batch, not once per ego it appears in;
-  ///  3. the guarded forward per request (faults, deadline, NaN check,
-  ///     fallback, bands, event log, as in Serve), reading the shared rows.
-  /// With a 1-thread pool the whole batch runs inline on the calling thread
-  /// (pinned by ShardedServingTest.PredictBatchFanout*). A caller token
-  /// (util::CancelScope) that fires before or during phase 2 degrades every
-  /// request with "cancelled by caller". The deadline covers each request's
-  /// own forward, as in Serve; latency_ms adds the phase-2 share. Const and
-  /// thread-safe; `contexts` carries one request id and shard per shop.
+  /// on the process-wide pool (GAIA_NUM_THREADS /
+  /// util::ThreadPool::SetGlobalThreads): the encoding table is built first
+  /// if the server has none yet, then one pass over the requests, one
+  /// request per claimed thread, runs Serve's pipeline: the ego (same RNG
+  /// stream, same "graph.ego_extract" fault draw) and the guarded forward
+  /// (faults, deadline, NaN check, fallback, bands, event log) reading the
+  /// table's rows. With a 1-thread pool the whole batch runs inline on the
+  /// calling thread (pinned by ShardedServingTest.PredictBatchFanout*). A
+  /// caller token (util::CancelScope) that fires before or during the build
+  /// degrades every request with "cancelled by caller". The deadline covers
+  /// each request's own forward, as in Serve; latency_ms adds an equal share
+  /// of a build this batch ran. Const and thread-safe; `contexts` carries
+  /// one request id and shard per shop.
   std::vector<Prediction> ServeBatch(
       const std::vector<int32_t>& shops, double deadline_ms,
       const std::vector<obs::RequestContext>& contexts) const;
 
-  /// Hot-swaps model weights from an offline-produced checkpoint, retrying
-  /// transient I/O per config. Verify-then-swap: on any failure the serving
-  /// weights are untouched and the server keeps answering with them.
+  /// Swaps model weights in place from an offline-produced checkpoint,
+  /// retrying transient I/O per config. Verify-then-swap: on any failure the
+  /// serving weights are untouched and the server keeps answering with them.
+  /// Drops the encoding table, so the next request encodes under the
+  /// weights now loaded. Must not overlap Serve, ServeBatch or any other
+  /// call on this server: the weights are loaded in place, unsynchronized.
+  /// ShardedServer is the path for swaps concurrent with serving.
   Status LoadCheckpoint(const std::string& path);
 
-  /// Hot-swaps from a checkpoint store, rolling back through its history to
-  /// the newest checkpoint that verifies (see CheckpointStore).
+  /// Same, from a checkpoint store, rolling back through its history to the
+  /// newest checkpoint that verifies (see CheckpointStore). Drops the
+  /// encoding table and must not overlap serving, as above.
   Status LoadCheckpoint(const CheckpointStore& store);
 
   /// Split-conformal calibration of the p10–p90 bands on this server's own
@@ -232,10 +245,22 @@ class ModelServer {
   /// The request's ego subgraph, from its own (config.seed, shop) stream.
   graph::EgoSubgraph ExtractEgo(int32_t shop) const;
 
+  /// The encoding table of the current weights, built on first use in
+  /// chunks of at most 32 nodes fanned over the pool (inline under an
+  /// InlineScope). Concurrent callers wait for one build. The caller's token
+  /// is polled between chunks: once it fires, the build stops, nothing is
+  /// published and null is returned. `build_ms` is the wall time of a build
+  /// this call ran, else 0. Thread-safe.
+  const core::NodeEncodings* Encodings(double* build_ms) const;
+
+  /// Unpublishes and frees the encoding table (LoadCheckpoint).
+  void DropEncodings();
+
   /// The per-request pipeline behind both Serve and ServeBatch: forward
   /// with NaN/deadline guards (cooperative token when configured), degrading
-  /// to FallbackForecast. The forward encodes the ego itself, or reads its
-  /// rows from `encodings` when given. Thread-safe.
+  /// to FallbackForecast. The forward reads the ego's rows from `encodings`,
+  /// which is null only when the caller's token cancelled its build.
+  /// Thread-safe.
   Prediction PredictOne(int32_t shop, const graph::EgoSubgraph& ego,
                         const core::NodeEncodings* encodings,
                         double deadline_ms) const;
@@ -262,6 +287,13 @@ class ModelServer {
   double total_latency_ms_ = 0.0;
   int64_t fallback_requests_ = 0;
   int last_load_rollbacks_ = 0;
+  /// The published encoding table (null until built and after
+  /// LoadCheckpoint); readers take it with one acquire load. `table_` owns
+  /// it; both are written only under `table_mu_`, which also serializes
+  /// builds.
+  mutable std::mutex table_mu_;
+  mutable std::unique_ptr<const core::NodeEncodings> table_;
+  mutable std::atomic<const core::NodeEncodings*> published_table_{nullptr};
   /// Running mean of successful model-forward latency (microseconds),
   /// feeding the gaia_cancel_latency_saved_seconds estimate. Atomic because
   /// PredictBatch runs PredictOne concurrently.

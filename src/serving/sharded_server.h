@@ -39,11 +39,14 @@ struct ShardedServerConfig {
 /// (util::ThreadPool::InlineScope), so N concurrent callers run N forwards
 /// concurrently and never contend on the process-wide pool. PredictBatch
 /// pins one generation for the whole batch and runs that generation's
-/// ModelServer::ServeBatch (one shared encode, then the forwards fanned out
-/// on the pool). Each answer is bitwise what the exact serial path computes
-/// for its request, so forecasts are identical to the unsharded
-/// ModelServer::PredictBatch at any shard, caller and thread count (each
-/// forecast is a pure function of (config, shop); see ServerConfig::seed).
+/// ModelServer::ServeBatch (the forwards fanned out on the pool). Each
+/// generation's ModelServer builds its encoding table on the generation's
+/// first request after the flip (outside LoadCheckpoint); later requests
+/// read it, and it is freed with the generation. Each answer is bitwise
+/// what the exact serial path computes for its request, so forecasts are
+/// identical to the unsharded ModelServer::PredictBatch at any shard,
+/// caller and thread count (each forecast is a pure function of
+/// (config, shop); see ServerConfig::seed).
 ///
 /// Checkpoint swap is epoch/RCU-style: LoadCheckpoint builds a *fresh*
 /// model generation off to the side (load + verify into an unpublished
@@ -58,9 +61,10 @@ struct ShardedServerConfig {
 /// Deadlines and cancellation: a request's deadline covers its forward (the
 /// deadline token is armed after ego extraction). The caller's token is
 /// installed around all of the request's work, so a token that fired before
-/// the call, or fires during it, stops ego extraction, a batch's shared
-/// encode or the forward at its next check and the request degrades to the
-/// fallback ("cancelled by caller"), as in ModelServer.
+/// the call, or fires during it, stops ego extraction, the generation's
+/// table build (which then publishes nothing) or the forward at its next
+/// check and the request degrades to the fallback ("cancelled by caller"),
+/// as in ModelServer.
 ///
 /// Thread-safety: Predict/PredictBatch are safe from any number of threads.
 /// LoadCheckpoint may run concurrently with serving (that is the point) but
@@ -85,7 +89,8 @@ class ShardedServer {
                      const util::CancelToken* cancel = nullptr);
 
   /// Answers the batch in input order against one generation snapshot,
-  /// through its ModelServer::ServeBatch. Bitwise identical to
+  /// through its ModelServer::ServeBatch and that generation's encoding
+  /// table (built first if the batch is its first user). Bitwise identical to
   /// ModelServer::PredictBatch on the same (model, dataset, server config)
   /// at any shard/thread count.
   std::vector<Prediction> PredictBatch(const std::vector<int32_t>& shops);

@@ -415,6 +415,75 @@ TEST_F(CancelServeTest, GenerousDeadlineKeepsServeBitwiseIdentical) {
   }
 }
 
+TEST_F(CancelServeTest, CallerCancelDuringTableBuildPublishesNoPartialTable) {
+  // A caller token that fires while the encoding table is being built stops
+  // the build at a chunk boundary and publishes nothing: the request
+  // degrades as "cancelled by caller", counted once, and the next request
+  // rebuilds the table and answers bitwise. Caller deadlines sweep upward so
+  // some fire before the build, some during it and the last after the
+  // answer; a 1-thread pool runs the chunks in order on the caller.
+  obs::SetLevel(obs::Level::kOn);
+  auto& registry = obs::MetricsRegistry::Global();
+  const int saved_threads = ThreadPool::GlobalThreads();
+  ThreadPool::SetGlobalThreads(1);
+  constexpr int32_t kShop = 7;
+  const auto chunks = static_cast<uint64_t>((dataset_->num_nodes() + 31) / 32);
+  ASSERT_GE(chunks, 2u) << "one chunk leaves no boundary to stop at";
+  serving::ModelServer reference(model_, dataset_, serving::ServerConfig{});
+  const serving::ModelServer::Prediction want = reference.Serve(kShop, 0.0);
+  ASSERT_EQ(want.served_by, serving::ModelServer::ServePath::kModel);
+  const auto span_count = [](const char* name) {
+    return obs::TraceBuffer::Global().AggregateByName()[name].count;
+  };
+  const auto expect_want = [&](const serving::ModelServer::Prediction& got) {
+    ASSERT_EQ(got.served_by, serving::ModelServer::ServePath::kModel);
+    ASSERT_EQ(got.gmv.size(), want.gmv.size());
+    EXPECT_EQ(std::memcmp(got.gmv.data(), want.gmv.data(),
+                          want.gmv.size() * sizeof(double)),
+              0);
+  };
+
+  int cut_builds = 0;
+  bool answered = false;
+  for (double deadline_ms = 0.002; !answered && deadline_ms < 6e4;
+       deadline_ms *= 1.3) {
+    SCOPED_TRACE("caller deadline " + std::to_string(deadline_ms) + " ms");
+    serving::ModelServer server(model_, dataset_, serving::ServerConfig{});
+    obs::TraceBuffer::Global().Clear();
+    const uint64_t observed_before =
+        registry.CounterValue("gaia_cancel_observed_total");
+    serving::ModelServer::Prediction got;
+    {
+      auto token = CancelToken::WithDeadline(deadline_ms);
+      CancelScope scope(token.get());
+      got = server.Serve(kShop, 0.0);
+    }
+    answered = got.served_by == serving::ModelServer::ServePath::kModel;
+    const uint64_t encoded_chunks = span_count("model.encode");
+    const bool table_complete = encoded_chunks == chunks;
+    if (answered) {
+      expect_want(got);
+    } else {
+      EXPECT_EQ(got.degraded_reason, "cancelled by caller");
+      if (span_count("model.forward_graph") == 0) {
+        // The token fired before the forward began: the build hid it from
+        // the kernels, so the request's own report is the one count.
+        EXPECT_EQ(registry.CounterValue("gaia_cancel_observed_total"),
+                  observed_before + 1);
+      }
+      if (encoded_chunks > 0 && !table_complete) ++cut_builds;
+    }
+    // A cut build published nothing, so the next request builds again; a
+    // complete one is reused.
+    obs::TraceBuffer::Global().Clear();
+    expect_want(server.Serve(kShop, 0.0));
+    EXPECT_EQ(span_count("server.encode_table"), table_complete ? 0u : 1u);
+  }
+  EXPECT_TRUE(answered) << "no caller deadline let the request finish";
+  EXPECT_GT(cut_builds, 0) << "no caller deadline fired during the build";
+  ThreadPool::SetGlobalThreads(saved_threads);
+}
+
 // ---------------------------------------------------------------------------
 // Sharded tier: a token that fired before Predict
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -30,12 +31,14 @@
 
 #include "core/gaia_model.h"
 #include "data/market_simulator.h"
+#include "graph/eseller_graph.h"
 #include "obs/obs.h"
 #include "serving/checkpoint_store.h"
 #include "serving/model_server.h"
 #include "serving/sharded_server.h"
 #include "util/cancel.h"
 #include "util/fault_injector.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace gaia {
@@ -44,6 +47,18 @@ namespace {
 using serving::ModelServer;
 using serving::ShardedServer;
 using serving::ShardedServerConfig;
+
+/// The serving tier's per-request ego-sampling seed (ServerConfig::seed
+/// mixed with the shop id, splitmix64-style), copied so the references here
+/// sample the egos ModelServer serves.
+uint64_t RequestSeed(uint64_t seed, int32_t shop) {
+  uint64_t x = seed ^ (static_cast<uint64_t>(static_cast<uint32_t>(shop)) *
+                       0x9e3779b97f4a7c15ULL);
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 class ShardedServingTest : public ::testing::Test {
  protected:
@@ -93,6 +108,38 @@ class ShardedServingTest : public ::testing::Test {
           << "shop " << got.shop << " horizon " << h << ": " << got.gmv[h]
           << " vs " << want.gmv[h];
     }
+  }
+
+  /// Per shop, the forecast a server with `config` must serve for `model`,
+  /// rebuilt from public calls: the request's sampled ego, the
+  /// self-encoding GaiaModel::PredictEgo, then denormalization.
+  std::vector<std::vector<double>> EgoReference(
+      const core::GaiaModel& model, const serving::ServerConfig& config) const {
+    std::vector<std::vector<double>> want;
+    for (int32_t shop : AllShops()) {
+      Rng rng(RequestSeed(config.seed, shop));
+      const graph::EgoSubgraph ego = graph::ExtractEgoSubgraph(
+          dataset_->graph(), shop, config.ego_hops, config.max_fanout, &rng);
+      Result<Tensor> forward = model.PredictEgo(*dataset_, ego);
+      EXPECT_TRUE(forward.ok()) << forward.status().ToString();
+      std::vector<double> gmv;
+      for (int64_t h = 0; forward.ok() && h < forward.value().size(); ++h) {
+        gmv.push_back(dataset_->Denormalize(shop, forward.value().data()[h]));
+      }
+      want.push_back(std::move(gmv));
+    }
+    return want;
+  }
+
+  static bool SameBytes(const std::vector<double>& got,
+                        const std::vector<double>& want) {
+    return got.size() == want.size() &&
+           std::memcmp(got.data(), want.data(),
+                       want.size() * sizeof(double)) == 0;
+  }
+
+  static uint64_t SpanCount(const std::string& name) {
+    return obs::TraceBuffer::Global().AggregateByName()[name].count;
   }
 
   static std::string TempDir(const std::string& stem) {
@@ -623,7 +670,7 @@ TEST_F(ShardedServingTest, PublishRefusedWhileAnotherHolderIsLive) {
 }
 
 // ---------------------------------------------------------------------------
-// The batch path: one shared encode, then the per-request forwards
+// The batch path and the per-generation encoding table
 // ---------------------------------------------------------------------------
 
 TEST_F(ShardedServingTest, PredictBatchAnswersEqualServeBitwise) {
@@ -666,32 +713,192 @@ TEST_F(ShardedServingTest, PredictBatchAnswersEqualServeBitwise) {
   }
 }
 
-TEST_F(ShardedServingTest, PredictBatchEncodesOncePerBatch) {
-  // FFL and TEL run once over the union of the batch's egos, not once per
-  // ego; the layers and the head still run once per request.
+TEST_F(ShardedServingTest, EncodesOncePerGeneration) {
+  // FFL and TEL run in one encoding-table build per generation, not once
+  // per batch or request: two batches and a run of single requests record
+  // one build, and a checkpoint flip records exactly one more. The build is
+  // chunked, so its own span is counted rather than ffl.forward. The
+  // request or batch that ran the build carries its time in latency_ms.
   const obs::Level saved_level = obs::CurrentLevel();
   obs::SetLevel(obs::Level::kOn);
+  const std::string dir = TempDir("encode_once");
+  std::filesystem::create_directories(dir);
+  const std::string ckpt_b = dir + "/gen_b.bin";
+  ASSERT_TRUE(MakeModel(99)->Save(ckpt_b).ok());
   const std::vector<int32_t> shops = AllShops();
-  ModelServer server(MakeModel(), dataset_, serving::ServerConfig{});
-  ShardedServerConfig cfg;
-  cfg.num_shards = 2;
-  ShardedServer sharded(MakeModel(), dataset_, cfg);
+  const std::vector<int32_t> singles = {3, 17, 42, 3};
   for (bool through_tier : {false, true}) {
     SCOPED_TRACE(through_tier ? "ShardedServer" : "ModelServer");
+    ModelServer server(MakeModel(), dataset_, serving::ServerConfig{});
+    ShardedServerConfig cfg;
+    cfg.num_shards = 2;
+    ShardedServer sharded(MakeModel(), dataset_, cfg);
+    const auto batch = [&] {
+      return through_tier ? sharded.PredictBatch(shops)
+                          : server.PredictBatch(shops);
+    };
+    const auto single = [&](int32_t shop) {
+      return through_tier ? sharded.Predict(shop) : server.Predict(shop);
+    };
     obs::TraceBuffer::Global().Clear();
-    if (through_tier) {
-      sharded.PredictBatch(shops);
-    } else {
-      server.PredictBatch(shops);
+    const std::vector<ModelServer::Prediction> built = batch();
+    const double build_ms =
+        obs::TraceBuffer::Global().AggregateByName()["server.encode_table"]
+            .total_ms;
+    for (const ModelServer::Prediction& p : built) {
+      EXPECT_GE(p.latency_ms * static_cast<double>(shops.size()),
+                0.5 * build_ms);
     }
-    std::map<std::string, obs::SpanStats> spans =
-        obs::TraceBuffer::Global().AggregateByName();
-    EXPECT_EQ(spans["ffl.forward"].count, 1u);
-    EXPECT_EQ(spans["tel.forward"].count, 1u);
-    EXPECT_EQ(spans["model.encode"].count, 1u);
-    EXPECT_EQ(spans["model.forward_graph"].count, shops.size());
+    batch();
+    for (int32_t shop : singles) single(shop);
+    EXPECT_EQ(SpanCount("server.encode_table"), 1u);
+    EXPECT_EQ(SpanCount("model.forward_graph"),
+              2 * shops.size() + singles.size());
+
+    // A flip: the first single request builds the new generation's table.
+    ASSERT_TRUE((through_tier ? sharded.LoadCheckpoint(ckpt_b)
+                              : server.LoadCheckpoint(ckpt_b))
+                    .ok());
+    obs::TraceBuffer::Global().Clear();
+    const ModelServer::Prediction first = single(17);
+    EXPECT_GE(first.latency_ms,
+              0.5 * obs::TraceBuffer::Global()
+                        .AggregateByName()["server.encode_table"]
+                        .total_ms);
+    batch();
+    for (int32_t shop : singles) single(shop);
+    EXPECT_EQ(SpanCount("server.encode_table"), 1u);
   }
   obs::SetLevel(saved_level);
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(ShardedServingTest, EncodingTableNeverServesStaleWeights) {
+  // Both ModelServer::LoadCheckpoint overloads drop the table: after each
+  // load every shop's answer byte-equals the self-encoding PredictEgo under
+  // the weights just loaded, and a load that fails leaves the answers as
+  // they were.
+  const std::vector<int32_t> shops = AllShops();
+  util::FaultInjector& faults = util::FaultInjector::Global();
+  for (int64_t fanout : {10, 0}) {
+    for (int64_t num_layers : {1, 2}) {
+      SCOPED_TRACE("fanout=" + std::to_string(fanout) +
+                   " layers=" + std::to_string(num_layers));
+      serving::ServerConfig config;
+      config.max_fanout = fanout;
+      const std::shared_ptr<core::GaiaModel> model_a = MakeModel(1, num_layers);
+      const std::shared_ptr<core::GaiaModel> model_b =
+          MakeModel(99, num_layers);
+      const auto want_a = EgoReference(*model_a, config);
+      const auto want_b = EgoReference(*model_b, config);
+      const std::string dir = TempDir("stale");
+      std::filesystem::create_directories(dir);
+      const std::string ckpt_b = dir + "/gen_b.bin";
+      const std::string corrupt = dir + "/corrupt.bin";
+      ASSERT_TRUE(model_b->Save(ckpt_b).ok());
+      { std::ofstream(corrupt) << "not a checkpoint"; }
+      serving::CheckpointStoreConfig store_config;
+      store_config.dir = dir + "/store";
+      serving::CheckpointStore store(store_config);
+      ASSERT_TRUE(store.Publish(*model_a).ok());
+
+      ModelServer server(MakeModel(1, num_layers), dataset_, config);
+      // The first user after a load is a single request, so both the Serve
+      // and the ServeBatch paths are checked against each table.
+      const auto expect_serves = [&](const std::vector<std::vector<double>>&
+                                         want,
+                                     const char* when) {
+        SCOPED_TRACE(when);
+        for (int32_t shop : {59, 0, 31}) {
+          EXPECT_TRUE(SameBytes(server.Predict(shop).gmv,
+                                want[static_cast<size_t>(shop)]))
+              << "shop " << shop;
+        }
+        const std::vector<ModelServer::Prediction> got =
+            server.PredictBatch(shops);
+        for (size_t i = 0; i < shops.size(); ++i) {
+          EXPECT_EQ(got[i].served_by, ModelServer::ServePath::kModel);
+          EXPECT_TRUE(SameBytes(got[i].gmv, want[i])) << "shop " << i;
+        }
+      };
+      expect_serves(want_a, "construction weights");
+      ASSERT_TRUE(server.LoadCheckpoint(ckpt_b).ok());
+      expect_serves(want_b, "after a load from a path");
+      ASSERT_TRUE(server.LoadCheckpoint(store).ok());
+      expect_serves(want_a, "after a load from a store");
+      EXPECT_FALSE(server.LoadCheckpoint(corrupt).ok());
+      expect_serves(want_a, "after a corrupt file failed to load");
+      faults.Reset();
+      faults.Arm({"checkpoint.read", util::FaultKind::kCorrupt, 1.0, -1});
+      EXPECT_FALSE(server.LoadCheckpoint(ckpt_b).ok());
+      faults.Reset();
+      expect_serves(want_a, "after a checkpoint.read fault");
+      std::filesystem::remove_all(dir);
+    }
+  }
+}
+
+TEST_F(ShardedServingTest, FirstUseAfterFlipBuildsOneTablePerGeneration) {
+  // Right after each flip three callers race to be the new generation's
+  // first user: one builds its encoding table while the others wait for it,
+  // and every answer byte-equals the reference of the generation just
+  // published. The publisher alternates A and B.
+  const obs::Level saved_level = obs::CurrentLevel();
+  obs::SetLevel(obs::Level::kOn);
+  const std::string dir = TempDir("first_use");
+  std::filesystem::create_directories(dir);
+  const std::string ckpt_a = dir + "/gen_a.bin";
+  const std::string ckpt_b = dir + "/gen_b.bin";
+  std::shared_ptr<core::GaiaModel> model_a = MakeModel(1);
+  std::shared_ptr<core::GaiaModel> model_b = MakeModel(99);
+  ASSERT_TRUE(model_a->Save(ckpt_a).ok());
+  ASSERT_TRUE(model_b->Save(ckpt_b).ok());
+  const serving::ServerConfig config;
+  const auto want_a = EgoReference(*model_a, config);
+  const auto want_b = EgoReference(*model_b, config);
+
+  ShardedServerConfig cfg;
+  cfg.num_shards = 4;
+  cfg.server = config;
+  ShardedServer sharded(MakeModel(1), dataset_, cfg);
+  constexpr int kCallers = 3;
+  constexpr int kRounds = 6;
+  constexpr int kRequests = 5;
+  std::barrier sync(kCallers + 1);
+  std::atomic<int64_t> wrong{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        sync.arrive_and_wait();  // the round's flip is published
+        const auto& want = round % 2 == 0 ? want_b : want_a;
+        for (int k = 0; k < kRequests; ++k) {
+          const int32_t shop = (c * 7 + k * 11 + round) % 60;
+          if (!SameBytes(sharded.Predict(shop).gmv,
+                         want[static_cast<size_t>(shop)])) {
+            wrong.fetch_add(1);
+          }
+        }
+        sync.arrive_and_wait();  // the round's requests are answered
+      }
+    });
+  }
+  std::vector<uint64_t> builds;
+  for (int round = 0; round < kRounds; ++round) {
+    obs::TraceBuffer::Global().Clear();
+    EXPECT_TRUE(
+        sharded.LoadCheckpoint(round % 2 == 0 ? ckpt_b : ckpt_a).ok());
+    sync.arrive_and_wait();
+    sync.arrive_and_wait();
+    builds.push_back(SpanCount("server.encode_table"));
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(wrong.load(), 0) << "an answer matched no generation's reference";
+  EXPECT_EQ(builds, std::vector<uint64_t>(kRounds, 1))
+      << "a generation built its table more or less than once";
+  EXPECT_EQ(sharded.epoch(), kRounds);
+  obs::SetLevel(saved_level);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ShardedServingTest, PredictBatchUnderFiredCallerTokenDegradesAll) {
